@@ -16,7 +16,6 @@ from .ingestion import (
     DayValidationReport,
     OdmIntegrityError,
     OdmParseError,
-    OdmRecord,
     SourceProfile,
     parse_file,
     validate_day,
@@ -42,7 +41,6 @@ __all__ = [
     "KeyOutcome",
     "OdmIntegrityError",
     "OdmParseError",
-    "OdmRecord",
     "RollingStats",
     "Signal",
     "SourceProfile",

@@ -6,12 +6,13 @@ aligns the current and history matrices on the union of their codes,
 accumulates exact integer sums, and applies the bounds test elementwise.
 
 The union is built by concatenating the already sorted code arrays, merging
-the sorted runs with a stable sort, and keeping the first code of each run
-of equal codes. Every floating-point expression here mirrors the scalar
-functions in ``rolling`` and ``thresholds`` operation for operation, so both
-paths produce bit-identical numbers; that includes ``rolling``'s constant
-history rule: a series whose available periods all hold the same value has
-a deviation of exactly 0.
+the sorted runs with a stable argsort, and keeping the first code of each
+run of equal codes; the same permutation gives each period's positions in
+the union, so no period is searched for its codes. Every floating-point
+expression here mirrors the scalar functions in ``rolling`` and
+``thresholds`` operation for operation, so both paths produce bit-identical
+numbers; that includes ``rolling``'s constant history rule: a series whose
+available periods all hold the same value has a deviation of exactly 0.
 """
 
 from __future__ import annotations
@@ -207,16 +208,19 @@ def evaluate_window(
     for h in avail:
         _check_cap(h.values, cap, "cell")
 
-    if n:
-        # Each code array is sorted, so the stable sort only merges runs.
-        universe = distinct_sorted(
-            np.sort(
-                np.concatenate([current.codes] + [h.codes for h in avail]),
-                kind="stable",
-            )
-        )
-    else:
-        universe = current.codes
+    # Each code array is sorted, so the stable sort only merges runs. Its
+    # permutation also carries every period's positions in the union.
+    periods = [current] + avail
+    codes = np.concatenate([mat.codes for mat in periods])
+    order = np.argsort(codes, kind="stable")
+    merged = codes[order]
+    first = np.empty(len(merged), dtype=bool)
+    first[:1] = True
+    np.not_equal(merged[1:], merged[:-1], out=first[1:])
+    universe = merged[first]
+    positions = np.empty(len(codes), dtype=np.int64)
+    positions[order] = np.cumsum(first) - 1
+    slots = np.split(positions, np.cumsum([len(mat.codes) for mat in periods])[:-1])
     m = len(universe)
 
     u_origin = universe // a
@@ -232,9 +236,9 @@ def evaluate_window(
     in_starts = _group_starts(dest_sorted)
     dest_areas = dest_sorted[in_starts] if m else np.empty(0, dtype=np.int64)
 
-    def align(mat: Columnar) -> np.ndarray:
+    def align(k: int) -> np.ndarray:
         dense = np.zeros(m, dtype=np.int64)
-        dense[np.searchsorted(universe, mat.codes)] = mat.values
+        dense[slots[k]] = periods[k].values
         return dense
 
     def marginal_sums(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -243,14 +247,14 @@ def evaluate_window(
         in_sums = _group_sums(masked[dest_perm], in_starts)
         return out_sums, in_sums
 
-    observed = align(current)
+    observed = align(0)
     obs_out, obs_in = marginal_sums(observed)
 
     cell_stats = marg_out_stats = marg_in_stats = None
     if n:
         moments: list[_Moments] = []
-        for h in avail:
-            dense = align(h)
+        for k in range(1, n + 1):
+            dense = align(k)
             out_sums, in_sums = marginal_sums(dense)
             _check_cap(out_sums, cap, "outbound marginal")
             _check_cap(in_sums, cap, "inbound marginal")

@@ -129,7 +129,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         store.put_profile(profile)
         for snapshot in snapshots:
             store.put_snapshot(args.source, snapshot)
-    except StoreError as exc:
+    except (StoreError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

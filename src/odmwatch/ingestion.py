@@ -40,18 +40,6 @@ class OdmIntegrityError(ValueError):
 
 
 @dataclass(frozen=True)
-class OdmRecord:
-    """One input row: a single cell of a single window."""
-
-    date: dt.date
-    start: dt.time
-    end: dt.time
-    origin: str
-    destination: str
-    count: int
-
-
-@dataclass(frozen=True)
 class SourceProfile:
     """Static expectations about one data source.
 
@@ -120,41 +108,54 @@ def _parse_count(text: str) -> int:
     return count
 
 
-def parse_record(row: Sequence[str], source: str, line_no: int) -> OdmRecord:
-    if len(row) != len(CSV_COLUMNS):
-        raise OdmParseError(
-            source, line_no, f"expected {len(CSV_COLUMNS)} fields, got {len(row)}"
-        )
-    date_s, start_s, end_s, origin, destination, count_s = (f.strip() for f in row)
-    try:
-        date = _parse_date(date_s)
-        start = _parse_time(start_s)
-        end = _parse_time(end_s)
-        count = _parse_count(count_s)
-        if not origin or not destination:
-            raise ValueError("empty area label")
-        if start >= end:
-            raise ValueError(f"window start {start_s} must precede end {end_s}")
-    except ValueError as exc:
-        raise OdmParseError(source, line_no, str(exc)) from None
-    return OdmRecord(date, start, end, origin, destination, count)
+def parse_rows(rows: Iterable[tuple[int, Sequence[str]]], source: str) -> list[SparseOdm]:
+    """Validate (line_no, row) pairs and group them into one snapshot per window.
 
-
-def group_records(
-    records: Iterable[tuple[OdmRecord, int]], source: str
-) -> list[SparseOdm]:
-    """Group (record, line_no) pairs into one snapshot per window.
-
-    Duplicate (origin, destination) rows within one window are rejected;
-    zero-count rows are dropped (absent and zero are equivalent).
+    Each distinct (date, start, end) string triple is parsed once; rows are
+    grouped by the parsed window, so ``1:00:00`` and ``01:00:00`` land in the
+    same one. Every non-empty row is still checked, in this order: field
+    count, date, start, end, count, empty label, start < end, duplicate cell.
+    Malformed rows raise :class:`OdmParseError`; a duplicate (origin,
+    destination) within one window raises :class:`OdmIntegrityError`.
+    Empty rows are skipped and zero-count rows dropped (absent and zero are
+    equivalent).
     """
-    grouped: dict[TimeWindow, dict[tuple[str, str], int]] = {}
-    seen_lines: dict[TimeWindow, dict[tuple[str, str], int]] = {}
-    for record, line_no in records:
-        window = TimeWindow(record.date, record.start, record.end)
-        cells = grouped.setdefault(window, {})
-        lines = seen_lines.setdefault(window, {})
-        pair = (record.origin, record.destination)
+    # Each triple maps to its window's (window, cells, first line per cell);
+    # triples that parse to the same window share them. None marks a triple
+    # whose start does not precede its end.
+    slots: dict[tuple[str, str, str], tuple[TimeWindow, dict, dict] | None] = {}
+    by_window: dict[TimeWindow, tuple[TimeWindow, dict, dict]] = {}
+    n_fields = len(CSV_COLUMNS)
+    for line_no, row in rows:
+        if not row:
+            continue
+        if len(row) != n_fields:
+            raise OdmParseError(
+                source, line_no, f"expected {n_fields} fields, got {len(row)}"
+            )
+        date_s, start_s, end_s, origin, destination, count_s = map(str.strip, row)
+        try:
+            triple = (date_s, start_s, end_s)
+            if triple in slots:
+                slot = slots[triple]
+            else:
+                date = _parse_date(date_s)
+                start = _parse_time(start_s)
+                end = _parse_time(end_s)
+                slot = None
+                if start < end:
+                    window = TimeWindow(date, start, end)
+                    slot = by_window.setdefault(window, (window, {}, {}))
+                slots[triple] = slot
+            count = _parse_count(count_s)
+            if not origin or not destination:
+                raise ValueError("empty area label")
+            if slot is None:
+                raise ValueError(f"window start {start_s} must precede end {end_s}")
+        except ValueError as exc:
+            raise OdmParseError(source, line_no, str(exc)) from None
+        window, cells, lines = slot
+        pair = (origin, destination)
         if pair in lines:
             raise OdmIntegrityError(
                 source,
@@ -163,11 +164,13 @@ def group_records(
                 f"{window.times_key()} (first seen at line {lines[pair]})",
             )
         lines[pair] = line_no
-        if record.count > 0:
-            cells[pair] = record.count
+        if count > 0:
+            cells[pair] = count
     return [
-        SparseOdm(window, grouped[window])
-        for window in sorted(grouped, key=lambda w: (w.date, w.start, w.end))
+        SparseOdm(window, cells)
+        for window, cells, _ in sorted(
+            by_window.values(), key=lambda slot: (slot[0].date, slot[0].start, slot[0].end)
+        )
     ]
 
 
@@ -177,23 +180,18 @@ def _open_text(path: Path) -> IO[str]:
     return open(path, "r", encoding="utf-8", newline="")
 
 
-def iter_csv_records(
-    handle: IO[str], source: str
-) -> Iterator[tuple[OdmRecord, int]]:
-    """Yield (record, line_no) from an open CSV stream, validating the header."""
+def iter_csv_rows(handle: IO[str], source: str) -> Iterator[tuple[int, list[str]]]:
+    """(line_no, row) for each row of an open CSV stream, after validating
+    the header."""
     reader = csv.reader(handle)
-    try:
-        header = next(reader)
-    except StopIteration:
-        return
+    header = next(reader, None)
+    if header is None:
+        return iter(())
     if tuple(h.strip().lower() for h in header) != CSV_COLUMNS:
         raise OdmParseError(
             source, 1, f"bad header {header!r}, expected {','.join(CSV_COLUMNS)}"
         )
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        yield parse_record(row, source, line_no), line_no
+    return enumerate(reader, start=2)
 
 
 def parse_file(path: str | Path, profile: SourceProfile | None = None) -> list[SparseOdm]:
@@ -205,7 +203,7 @@ def parse_file(path: str | Path, profile: SourceProfile | None = None) -> list[S
     """
     path = Path(path)
     with _open_text(path) as handle:
-        return group_records(iter_csv_records(handle, path.name), path.name)
+        return parse_rows(iter_csv_rows(handle, path.name), path.name)
 
 
 def records_for(snapshot: SparseOdm) -> Iterator[tuple[str, str, str, str, str, str]]:

@@ -22,14 +22,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .core import SparseOdm, TimeWindow
-from .ingestion import (
-    CSV_COLUMNS,
-    SourceProfile,
-    group_records,
-    iter_csv_records,
-    parse_record,
-    records_for,
-)
+from .ingestion import CSV_COLUMNS, SourceProfile, iter_csv_rows, parse_rows, records_for
 
 logger = logging.getLogger(__name__)
 
@@ -139,8 +132,19 @@ class HistoryStore:
     # -- snapshots -----------------------------------------------------
 
     def put_snapshot(self, source_id: str, snapshot: SparseOdm) -> None:
-        """Persist one snapshot; an existing same-window snapshot is replaced."""
+        """Persist one snapshot; an existing same-window snapshot is replaced.
+
+        Raises ``ValueError``, writing nothing, for a label the day file
+        could not give back verbatim: the reader strips surrounding
+        whitespace, and the writer leaves a lone carriage return unquoted.
+        """
         date = snapshot.window.date
+        for label in {label for pair in snapshot.entries for label in pair}:
+            if label != label.strip() or "\r" in label:
+                raise ValueError(
+                    f"cannot store {source_id}/{date}: area label {label!r} has "
+                    "surrounding whitespace or a carriage return"
+                )
         try:
             day = {m.window: m for m in self._read_day(source_id, date)}
             if snapshot.window in day:
@@ -157,13 +161,18 @@ class HistoryStore:
         self._prune(source_id)
 
     def get_snapshot(self, source_id: str, window: TimeWindow) -> SparseOdm | None:
-        """Retrieve one snapshot, or ``None`` when it was never stored."""
+        """Retrieve one snapshot, or ``None`` when it was never stored.
+
+        Reads only the window's block when the day's offset index is current.
+        """
         csv_path = self._day_csv(source_id, window.date)
         if not csv_path.exists():
             return None
-        entry = self._index_entry(source_id, window)
-        if entry is not None:
-            offset, length = entry
+        index = self._load_index(source_id, window.date)
+        if index is not None:
+            if window not in index:
+                return None
+            offset, length = index[window]
             if length == 0:
                 # A stored window whose cells are all zero: present but empty.
                 return SparseOdm(window, {})
@@ -171,24 +180,29 @@ class HistoryStore:
                 with open(csv_path, "rb") as handle:
                     handle.seek(offset)
                     block = handle.read(length).decode("utf-8")
-                rows = list(csv.reader(io.StringIO(block, newline="")))
-                records = [
-                    (parse_record(row, "store-block", i), i)
-                    for i, row in enumerate(rows, start=1)
-                    if row
-                ]
-                matrices = group_records(records, csv_path.name)
+                rows = csv.reader(io.StringIO(block, newline=""))
+                matrices = parse_rows(enumerate(rows, start=1), csv_path.name)
             except (ValueError, OSError):
-                matrices = []  # stale index; fall back to a full parse
+                matrices = []
             if len(matrices) == 1 and matrices[0].window == window:
                 return matrices[0]
+        self._warn_full_parse(csv_path)
         for m in self._read_day(source_id, window.date):
             if m.window == window:
                 return m
         return None
 
     def windows_for(self, source_id: str, date: dt.date) -> list[TimeWindow]:
-        """Windows stored for one date, ordered by start time."""
+        """Windows stored for one date, ordered by start time.
+
+        Read from the day's offset index when it is current.
+        """
+        index = self._load_index(source_id, date)
+        if index is not None:
+            return sorted(index, key=lambda w: (w.start, w.end))
+        csv_path = self._day_csv(source_id, date)
+        if csv_path.exists():
+            self._warn_full_parse(csv_path)
         return [m.window for m in self._read_day(source_id, date)]
 
     def fetch_history(self, query: HistoryQuery) -> HistorySlice:
@@ -232,12 +246,12 @@ class HistoryStore:
             return []
         try:
             with open(path, "r", encoding="utf-8", newline="") as handle:
-                matrices = group_records(iter_csv_records(handle, path.name), path.name)
+                matrices = parse_rows(iter_csv_rows(handle, path.name), path.name)
         except OSError as exc:
             raise StoreError(f"cannot read {path}: {exc}") from exc
         # All-zero windows leave no CSV rows; only the index remembers them.
         present = {m.window for m in matrices}
-        for window in self._index_window_list(source_id, date):
+        for window in self._load_index(source_id, date) or ():
             if window not in present:
                 matrices.append(SparseOdm(window, {}))
         matrices.sort(key=lambda m: (m.window.start, m.window.end))
@@ -278,7 +292,11 @@ class HistoryStore:
             json.dumps(index, separators=(",", ":")).encode("utf-8"),
         )
 
-    def _load_index(self, source_id: str, date: dt.date) -> dict | None:
+    def _load_index(
+        self, source_id: str, date: dt.date
+    ) -> dict[TimeWindow, tuple[int, int]] | None:
+        """Each indexed window's (offset, length) in the day file, or ``None``
+        when the index is absent, unreadable or out of step with the file."""
         index_path = self._day_index(source_id, date)
         csv_path = self._day_csv(source_id, date)
         if not index_path.exists():
@@ -286,40 +304,24 @@ class HistoryStore:
         try:
             index = json.loads(index_path.read_text(encoding="utf-8"))
             if index.get("file_size") != csv_path.stat().st_size:
-                return None  # index and csv out of step; use full parse
-            return index
-        except (ValueError, KeyError, OSError):
-            return None
-
-    def _index_window_list(self, source_id: str, date: dt.date) -> list[TimeWindow]:
-        index = self._load_index(source_id, date)
-        if index is None:
-            return []
-        try:
-            return [
+                return None
+            return {
                 TimeWindow(
                     date,
                     dt.time.fromisoformat(entry["start"]),
                     dt.time.fromisoformat(entry["end"]),
-                )
+                ): (int(entry["offset"]), int(entry["length"]))
                 for entry in index["windows"]
-            ]
-        except (ValueError, KeyError):
-            return []
+            }
+        except (ValueError, KeyError, OSError):
+            return None
 
-    def _index_entry(self, source_id: str, window: TimeWindow) -> tuple[int, int] | None:
-        index = self._load_index(source_id, window.date)
-        if index is None:
-            return None
-        start = window.start.isoformat()
-        end = window.end.isoformat()
-        try:
-            for entry in index["windows"]:
-                if entry["start"] == start and entry["end"] == end:
-                    return int(entry["offset"]), int(entry["length"])
-        except (ValueError, KeyError):
-            return None
-        return None
+    @staticmethod
+    def _warn_full_parse(csv_path: Path) -> None:
+        logger.warning(
+            "offset index of %s is missing, stale or unreadable; parsing the whole day file",
+            csv_path,
+        )
 
     def _prune(self, source_id: str) -> None:
         if self.retention_days is None:

@@ -51,6 +51,16 @@ def test_ingest_malformed_row_exits_one(tmp_path, capsys):
     assert "bad.csv:2" in err
 
 
+def test_ingest_unstorable_label_exits_one(tmp_path, capsys):
+    path = tmp_path / "cr.csv"
+    path.write_bytes((HEADER + '2021-06-07,00:00:00,23:59:59,"A\rB",C,5\n').encode("utf-8"))
+    store_root = tmp_path / "store"
+    code = main(["ingest", str(path), "--source", "mno", "--store-root", str(store_root)])
+    assert code == 1
+    assert repr("A\rB") in capsys.readouterr().err
+    assert not (store_root / "mno" / f"{MONDAY}.csv").exists()
+
+
 def test_ingest_missing_window_exits_two(tmp_path, capsys):
     windows = canonical_windows(MONDAY, 24)[:-1]
     rows = [

@@ -212,3 +212,79 @@ def test_validate_day_flags_extra_window(tmp_path):
     report = validate_day(matrices, SourceProfile("mno", 24), date)
     assert report.extra_windows == ["00:00:00-23:59:59"]
     assert len(report.missing_windows) == 0
+
+
+def test_time_spellings_share_one_window(tmp_path):
+    path = write(
+        tmp_path,
+        HEADER
+        + "2021-06-07,1:00:00,2:00:00,A,B,10\n"
+        + "2021-06-07,01:00:00,02:00:00,B,C,5\n",
+    )
+    (matrix,) = parse_file(path)
+    assert matrix.window.start == dt.time(1, 0, 0)
+    assert matrix.entries == {("A", "B"): 10, ("B", "C"): 5}
+
+
+def test_duplicate_cell_across_time_spellings(tmp_path):
+    path = write(
+        tmp_path,
+        HEADER
+        + "2021-06-07,01:00:00,02:00:00,A,B,10\n"
+        + "2021-06-07,01:00:00,02:00:00,B,C,5\n"
+        + "2021-06-07,1:00:00,2:00:00,A,B,11\n",
+    )
+    with pytest.raises(OdmIntegrityError) as err:
+        parse_file(path)
+    assert err.value.line_no == 4
+    assert "first seen at line 2" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("2021-06-07,00:00:00,11:59:59,C,D,x", "bad count 'x'"),
+        ("2021-06-07,00:00:00,11:59:59,C,D,-1", "negative count -1"),
+        ("2021-06-07,00:00:00,11:59:59,,D,1", "empty area label"),
+        ("2021-06-07,11:59:59,00:00:00,C,D,1", "window start 11:59:59 must precede end 00:00:00"),
+        ("2021-06-07,11:59:59,11:59:59,C,D,1", "window start 11:59:59 must precede end 11:59:59"),
+    ],
+)
+def test_later_row_of_seen_times_names_its_line(tmp_path, row, message):
+    path = write(
+        tmp_path,
+        HEADER
+        + "2021-06-07,00:00:00,11:59:59,A,B,10\n"
+        + "2021-06-07,00:00:00,11:59:59,B,C,5\n"
+        + row
+        + "\n",
+    )
+    with pytest.raises(OdmParseError) as err:
+        parse_file(path)
+    assert err.value.line_no == 4
+    assert message in str(err.value)
+
+
+def test_each_time_string_parsed_once(tmp_path, monkeypatch):
+    from odmwatch import ingestion
+
+    calls = []
+    parse_time = ingestion._parse_time
+
+    def counting(text):
+        calls.append(text)
+        return parse_time(text)
+
+    monkeypatch.setattr(ingestion, "_parse_time", counting)
+    windows = canonical_windows(dt.date(2021, 6, 7), 3)
+    rows = [
+        f"2021-06-07,{w.start.isoformat()},{w.end.isoformat()},{o},{d},{i + 1}"
+        for i, w in enumerate(windows)
+        for o in "ABC"
+        for d in "ABC"
+    ]
+    matrices = parse_file(write(tmp_path, HEADER + "\n".join(rows) + "\n"))
+    assert [len(m) for m in matrices] == [9, 9, 9]
+    assert sorted(calls) == sorted(
+        t.isoformat() for w in windows for t in (w.start, w.end)
+    )

@@ -1,8 +1,12 @@
 import datetime as dt
+import logging
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from odmwatch import HistoryQuery, HistoryStore, SparseOdm, TimeWindow
+from odmwatch import store as store_module
 from odmwatch.ingestion import SourceProfile
 from odmwatch.store import retention_for
 
@@ -135,13 +139,91 @@ def test_retention_default_policy():
     assert retention_for(6, "weekly") == 42
 
 
-def test_stale_index_falls_back_to_full_parse(store, tmp_path):
+def test_stale_index_falls_back_to_full_parse(store, tmp_path, caplog):
     m = snap(MONDAY, {("A", "B"): 10, ("C", "D"): 4})
     store.put_snapshot("src", m)
     # Corrupt the sidecar: claimed size no longer matches the CSV.
     index_path = store.root / "src" / f"{MONDAY.isoformat()}.index.json"
     index_path.write_text('{"file_size": 1, "windows": []}', encoding="utf-8")
-    assert store.get_snapshot("src", m.window) == m
+    day_path = str(store.root / "src" / f"{MONDAY.isoformat()}.csv")
+    for read, expected in (
+        (lambda: store.get_snapshot("src", m.window), m),
+        (lambda: store.windows_for("src", MONDAY), [m.window]),
+    ):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="odmwatch.store"):
+            assert read() == expected
+        (record,) = caplog.records
+        assert record.levelno == logging.WARNING
+        assert day_path in record.getMessage()
+
+
+def test_windows_for_reads_the_index(store, monkeypatch):
+    morning = snap(MONDAY, {("A", "B"): 1}, dt.time(0, 0, 0), dt.time(7, 59, 59))
+    noon = snap(MONDAY, {}, dt.time(8, 0, 0), dt.time(15, 59, 59))
+    evening = snap(MONDAY, {("B", "A"): 2}, dt.time(16, 0, 0), dt.time(23, 59, 59))
+    for m in (evening, noon, morning):
+        store.put_snapshot("src", m)
+    full_parse = [m.window for m in store._read_day("src", MONDAY)]
+    assert full_parse == [morning.window, noon.window, evening.window]
+
+    def no_parse(*args):
+        raise AssertionError("windows_for parsed the day file")
+
+    monkeypatch.setattr(store_module, "parse_rows", no_parse)
+    assert store.windows_for("src", MONDAY) == full_parse
+    assert store.get_snapshot("src", noon.window) == noon
+
+
+LABEL_CHARS = st.one_of(
+    st.sampled_from([",", '"', "\n", "\r", " ", "\t", "\u00a0", "\u2028", "é", "東", "A"]),
+    st.characters(exclude_categories=("Cs",)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cells=st.dictionaries(
+        st.tuples(
+            st.text(LABEL_CHARS, min_size=1, max_size=6),
+            st.text(LABEL_CHARS, min_size=1, max_size=6),
+        ),
+        st.integers(min_value=1, max_value=10**12),
+        max_size=8,
+    )
+)
+@example(cells={(" A", "B"): 1, ("A", "B"): 2})
+@example(cells={("A ", "B"): 1})
+@example(cells={("A\rB", "C"): 1})
+@example(cells={('x,"y"', "line\nbreak"): 3, ("東京", "é"): 4})
+def test_stored_labels_round_trip_or_are_rejected(tmp_path_factory, cells):
+    store = HistoryStore(tmp_path_factory.mktemp("store"), retention_days=None)
+    other = snap(MONDAY, {("P", "Q"): 5}, dt.time(0, 0, 0), dt.time(11, 59, 59))
+    store.put_snapshot("src", other)
+    m = snap(MONDAY, cells, dt.time(12, 0, 0), dt.time(23, 59, 59))
+    try:
+        store.put_snapshot("src", m)
+    except ValueError:
+        assert any(
+            label != label.strip() or "\r" in label for pair in cells for label in pair
+        )
+        assert store.windows_for("src", MONDAY) == [other.window]
+    else:
+        assert store.get_snapshot("src", m.window) == m
+    # Whatever happened, the day stays readable in full.
+    assert store.get_snapshot("src", other.window) == other
+    assert other in store._read_day("src", MONDAY)
+
+
+@pytest.mark.parametrize("label", [" A", "A ", "\tA", "A\u00a0", "A\rB"])
+def test_unreadable_label_rejected_before_writing(store, label):
+    m = snap(MONDAY, {("A", "B"): 1, (label, "B"): 2})
+    with pytest.raises(ValueError) as err:
+        store.put_snapshot("src", m)
+    message = str(err.value)
+    assert "src" in message and MONDAY.isoformat() in message and repr(label) in message
+    assert not (store.root / "src" / f"{MONDAY.isoformat()}.csv").exists()
+    assert store.get_snapshot("src", m.window) is None
 
 
 def test_day_digest_changes_with_content(store):
