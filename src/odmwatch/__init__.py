@@ -6,10 +6,9 @@ from .detector import (
     DayReport,
     KeyOutcome,
     Signal,
+    ThresholdSet,
     WindowReport,
-    classify_level,
     detect_day,
-    evaluate_key,
     run_window,
 )
 from .ingestion import (
@@ -20,17 +19,14 @@ from .ingestion import (
     parse_file,
     validate_day,
 )
-from .rolling import RollingStats, key_universe, rolling_stats_for_keys
 from .store import HistoryQuery, HistorySlice, HistoryStore
 from .synth import AnomalySpec, SynthSpec, generate
-from .thresholds import Bounds, ThresholdSet, bounds_for, daily_quantile_threshold
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AreaId",
     "AnomalySpec",
-    "Bounds",
     "DayReport",
     "DayValidationReport",
     "DetectorConfig",
@@ -41,7 +37,6 @@ __all__ = [
     "KeyOutcome",
     "OdmIntegrityError",
     "OdmParseError",
-    "RollingStats",
     "Signal",
     "SourceProfile",
     "SparseOdm",
@@ -49,15 +44,9 @@ __all__ = [
     "ThresholdSet",
     "TimeWindow",
     "WindowReport",
-    "bounds_for",
-    "classify_level",
-    "daily_quantile_threshold",
     "detect_day",
-    "evaluate_key",
     "generate",
-    "key_universe",
     "parse_file",
-    "rolling_stats_for_keys",
     "run_window",
     "validate_day",
 ]

@@ -8,11 +8,26 @@ accumulates exact integer sums, and applies the bounds test elementwise.
 The union is built by concatenating the already sorted code arrays, merging
 the sorted runs with a stable argsort, and keeping the first code of each
 run of equal codes; the same permutation gives each period's positions in
-the union, so no period is searched for its codes. Every floating-point
-expression here mirrors the scalar functions in ``rolling`` and
-``thresholds`` operation for operation, so both paths produce bit-identical
-numbers; that includes ``rolling``'s constant history rule: a series whose
-available periods all hold the same value has a deviation of exactly 0.
+the union, so no period is searched for its codes.
+
+Rules, per series (a cell, or an area's diagonal-excluded inbound or
+outbound marginal), over the n available past periods (a missing period is
+left out of n; a series absent from an available period counts 0 there):
+
+* ``ma = total / n`` and ``sd = sqrt(max(0, sumsq / n - ma^2))``, from exact
+  integer sums cast to float64. Once ``n * value^2`` passes 2^53 the two
+  terms no longer cancel exactly, so a series whose available values are
+  all equal gets ``sd = 0`` exactly (constant history rule).
+* ``t`` is the nearest-rank q-quantile of the current cells at or above
+  th, or th itself when none is (a degenerate window).
+* ``upper = ma + max(t, 3 sd)``; with ``low = min(ma - t, ma - 3 sd)``,
+  ``lower = max(low, 0)`` in ``clamped`` mode and ``min(low, 0)`` in
+  ``paper_literal`` mode. The literal lower bound is never positive, so on
+  count data it never fires.
+* Status: missing data when n = 0, else below eligibility when ma < th,
+  else a signal when the observed value is outside [lower, upper]. The
+  increment is ``(observed / ma - 1) * 100`` (+inf for a flow born from a
+  zero average), and the level is 1, 2 or 3 for |inc| < 50, < 100, >= 100.
 """
 
 from __future__ import annotations
@@ -20,11 +35,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-
-from .thresholds import nearest_rank
 
 STATUS_NO_SIGNAL = 0
 STATUS_SIGNAL = 1
@@ -131,6 +145,20 @@ class WindowEvaluation:
                         np.count_nonzero(signal & (block.level == lvl))
                     )
         return counts
+
+
+def nearest_rank(q: float, n: int) -> int:
+    """1-based nearest-rank index: ceil(q*n), computed exactly.
+
+    The float q is expanded to its exact binary ratio before the ceil so
+    that ranks never drift by one from rounding (e.g. q=0.7, n=10).
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not 0.0 < q < 1.0:
+        raise ValueError("quantile level must be in (0, 1)")
+    rank = -((-Fraction(*q.as_integer_ratio()) * n) // 1)  # ceil
+    return max(1, min(n, int(rank)))
 
 
 def _value_cap(periods: int) -> int:

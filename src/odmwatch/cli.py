@@ -52,7 +52,6 @@ class RunConfig:
     store_root: Path = Path("odmwatch-store")
     output: Path = Path("report.jsonl")
     format: str = "jsonl"
-    workers: int | None = None
 
     def detector(self) -> DetectorConfig:
         return DetectorConfig(th=self.th, quantile=self.quantile, bounds_mode=self.bounds_mode)
@@ -70,7 +69,6 @@ _CONFIG_PARSERS = {
     "store_root": Path,
     "output": Path,
     "format": str,
-    "workers": int,
 }
 
 
@@ -158,7 +156,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
             config.detector(),
             p=config.p,
             stride=config.stride,
-            workers=config.workers,
         )
     except (StoreError, OdmParseError, OdmIntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -232,7 +229,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         help="lower-bound handling (default clamped)",
     )
     parser.add_argument("--store-root", dest="store_root", type=Path, help="snapshot store directory")
-    parser.add_argument("--workers", type=int, help="worker count (default: available parallelism)")
 
 
 def build_parser() -> argparse.ArgumentParser:

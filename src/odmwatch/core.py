@@ -144,42 +144,6 @@ class SparseOdm:
         """Stored count for (origin, destination), 0 when absent."""
         return self._entries.get((origin, destination), 0)
 
-    def inbound_excl_diag(self, destination: AreaId) -> int:
-        """Total flow into ``destination`` from all other areas."""
-        return sum(
-            count
-            for (o, d), count in self._entries.items()
-            if d == destination and o != d
-        )
-
-    def outbound_excl_diag(self, origin: AreaId) -> int:
-        """Total flow out of ``origin`` to all other areas."""
-        return sum(
-            count
-            for (o, d), count in self._entries.items()
-            if o == origin and o != d
-        )
-
-    def all_marginals_excl_diag(self) -> dict[FlowKey, int]:
-        """Every nonzero inbound and outbound marginal in a single pass.
-
-        Areas whose marginal is zero (e.g. areas appearing only on the
-        diagonal) are omitted; callers should treat absent keys as 0.
-        """
-        inbound: dict[AreaId, int] = {}
-        outbound: dict[AreaId, int] = {}
-        for (o, d), count in self._entries.items():
-            if o == d:
-                continue
-            outbound[o] = outbound.get(o, 0) + count
-            inbound[d] = inbound.get(d, 0) + count
-        result: dict[FlowKey, int] = {}
-        for origin, total in outbound.items():
-            result[FlowKey.outbound(origin)] = total
-        for destination, total in inbound.items():
-            result[FlowKey.inbound(destination)] = total
-        return result
-
     def mass(self) -> int:
         """Sum of all stored counts, diagonal included."""
         return sum(self._entries.values())
@@ -190,11 +154,3 @@ class SparseOdm:
             out.add(o)
             out.add(d)
         return out
-
-    def value_of(self, key: FlowKey) -> int:
-        """Observed value of any monitored series on this snapshot."""
-        if key.kind == "cell":
-            return self.cell_value(key.origin, key.destination)  # type: ignore[arg-type]
-        if key.kind == "inbound":
-            return self.inbound_excl_diag(key.destination)  # type: ignore[arg-type]
-        return self.outbound_excl_diag(key.origin)  # type: ignore[arg-type]

@@ -14,13 +14,11 @@ an unavailable history never masquerades as a drop.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import datetime as dt
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterator
@@ -29,15 +27,10 @@ import numpy as np
 
 from . import _engine
 from .core import FlowKey, SparseOdm, TimeWindow
-from .ingestion import canonical_windows
-from .rolling import RollingStats
+from .ingestion import window_gaps
 from .store import HistoryQuery, HistorySlice, HistoryStore
-from .thresholds import (
-    BOUNDS_MODES,
-    ThresholdSet,
-    bounds_for,
-    relative_increment,
-)
+
+BOUNDS_MODES = ("clamped", "paper_literal")
 
 REPORT_COLUMNS = (
     "source",
@@ -82,6 +75,21 @@ class DetectorConfig:
             raise ValueError("quantile must be in (0, 1)")
         if self.bounds_mode not in BOUNDS_MODES:
             raise ValueError(f"bounds_mode must be one of {BOUNDS_MODES}")
+
+
+@dataclass(frozen=True)
+class ThresholdSet:
+    """The day's quantile threshold plus the configuration that produced it.
+
+    ``degenerate`` marks a window where no cell reached th, in which case t
+    falls back to th itself.
+    """
+
+    th: int
+    q: float
+    t: float
+    eligible_count: int
+    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -147,68 +155,6 @@ class DayReport:
         totals["windows_present"] = len(self.window_reports)
         totals["windows_missing"] = len(self.missing_windows)
         return totals
-
-
-def classify_level(inc_percent: float) -> int:
-    """Severity band of an out-of-bounds observation, from |INC|."""
-    magnitude = abs(inc_percent)
-    if magnitude < 50.0:
-        return 1
-    if magnitude < 100.0:
-        return 2
-    return 3
-
-
-def evaluate_key(
-    observed: int,
-    stats: RollingStats,
-    ts: ThresholdSet,
-    mode: str = "clamped",
-    window: TimeWindow | None = None,
-) -> KeyOutcome:
-    """Classify one series: missing data, then eligibility, then bounds."""
-    if stats.all_missing:
-        return KeyOutcome(key=stats.key, status="missing_data", observed=observed)
-    assert stats.ma is not None and stats.sd is not None
-    if stats.ma < ts.th:
-        return KeyOutcome(
-            key=stats.key,
-            status="below_eligibility",
-            observed=observed,
-            ma=stats.ma,
-            sd=stats.sd,
-        )
-    bounds = bounds_for(stats, ts, mode)
-    if bounds.lower <= observed <= bounds.upper:
-        return KeyOutcome(
-            key=stats.key,
-            status="no_signal",
-            observed=observed,
-            ma=stats.ma,
-            sd=stats.sd,
-        )
-    direction = "upper" if observed > bounds.upper else "lower"
-    inc = relative_increment(observed, stats.ma)
-    signal = Signal(
-        key=stats.key,
-        window=window,
-        direction=direction,
-        level=classify_level(inc),
-        inc_percent=inc,
-        observed=observed,
-        ma=stats.ma,
-        sd=stats.sd,
-        lower_bound=bounds.lower,
-        upper_bound=bounds.upper,
-    )
-    return KeyOutcome(
-        key=stats.key,
-        status="signal",
-        observed=observed,
-        ma=stats.ma,
-        sd=stats.sd,
-        signal=signal,
-    )
 
 
 def _materialize_outcomes(
@@ -326,38 +272,22 @@ def detect_day(
     config: DetectorConfig,
     p: int = 4,
     stride: str = "weekly",
-    workers: int | None = None,
 ) -> DayReport:
-    """Run every stored window of a date through the detector.
-
-    Window evaluations are independent; they may run on a thread pool, and
-    the report order (and bytes) never depends on the worker count.
-    """
+    """Run every stored window of a date through the detector, in start order."""
     windows = store.windows_for(source_id, date)
     profile = store.get_profile(source_id)
     missing: list[str] = []
     extra: list[str] = []
     if profile is not None:
-        expected = {
-            w.times_key() for w in canonical_windows(date, profile.expected_windows_per_day)
-        }
-        present = {w.times_key() for w in windows}
-        missing = sorted(expected - present)
-        extra = sorted(present - expected)
+        missing, extra = window_gaps(date, profile.expected_windows_per_day, windows)
 
-    def evaluate(window: TimeWindow) -> WindowReport:
+    reports = []
+    for window in windows:
         current = store.get_snapshot(source_id, window)
         if current is None:
             raise RuntimeError(f"window {window} disappeared from the store")
         slice_ = store.fetch_history(HistoryQuery(source_id, window, p, stride))
-        return run_window(current, slice_, config, source_id=source_id)
-
-    max_workers = workers if workers and workers > 0 else (os.cpu_count() or 1)
-    if max_workers > 1 and len(windows) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-            reports = list(pool.map(evaluate, windows))
-    else:
-        reports = [evaluate(w) for w in windows]
+        reports.append(run_window(current, slice_, config, source_id=source_id))
 
     history_dates = [
         date - dt.timedelta(days=k * (1 if stride == "daily" else 7))

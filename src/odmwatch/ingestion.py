@@ -43,18 +43,16 @@ class OdmIntegrityError(ValueError):
 class SourceProfile:
     """Static expectations about one data source.
 
-    ``expected_windows_per_day`` drives the missing/extra window checks;
-    ``has_diagonal_as_stayers`` documents the diagonal semantics of the
-    provider (marginals exclude the diagonal either way).
+    ``expected_windows_per_day`` drives the missing/extra window checks.
     """
 
     source_id: str
     expected_windows_per_day: int = 1
-    has_diagonal_as_stayers: bool = True
 
     def __post_init__(self) -> None:
-        if self.expected_windows_per_day < 1:
-            raise ValueError("expected_windows_per_day must be >= 1")
+        per_day = self.expected_windows_per_day
+        if not isinstance(per_day, int) or per_day < 1:
+            raise ValueError(f"expected_windows_per_day must be an integer >= 1, got {per_day!r}")
 
 
 @dataclass
@@ -250,6 +248,16 @@ def canonical_windows(date: dt.date, per_day: int) -> list[TimeWindow]:
     return windows
 
 
+def window_gaps(
+    date: dt.date, per_day: int, windows: Iterable[TimeWindow]
+) -> tuple[list[str], list[str]]:
+    """Sorted ``times_key`` lists of the expected windows absent from
+    ``windows`` and of the present windows outside the schedule."""
+    expected = {w.times_key() for w in canonical_windows(date, per_day)}
+    present = {w.times_key() for w in windows}
+    return sorted(expected - present), sorted(present - expected)
+
+
 def validate_day(
     snapshots: Sequence[SparseOdm], profile: SourceProfile, date: dt.date
 ) -> DayValidationReport:
@@ -263,12 +271,13 @@ def validate_day(
             raise ValueError(
                 f"snapshot for {snapshot.window.date} passed to validate_day({date})"
             )
-    expected = {w.times_key() for w in canonical_windows(date, profile.expected_windows_per_day)}
-    present = {m.window.times_key() for m in snapshots}
+    missing, extra = window_gaps(
+        date, profile.expected_windows_per_day, (m.window for m in snapshots)
+    )
     return DayValidationReport(
         source_id=profile.source_id,
         date=date,
-        missing_windows=sorted(expected - present),
-        extra_windows=sorted(present - expected),
+        missing_windows=missing,
+        extra_windows=extra,
         total_volume=sum(m.mass() for m in snapshots),
     )

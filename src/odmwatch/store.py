@@ -19,7 +19,6 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 from .core import SparseOdm, TimeWindow
 from .ingestion import CSV_COLUMNS, SourceProfile, iter_csv_rows, parse_rows, records_for
@@ -112,22 +111,30 @@ class HistoryStore:
             {
                 "source_id": profile.source_id,
                 "expected_windows_per_day": profile.expected_windows_per_day,
-                "has_diagonal_as_stayers": profile.has_diagonal_as_stayers,
             },
             separators=(",", ":"),
         )
         _atomic_write_bytes(directory / "profile.json", payload.encode("utf-8"))
 
     def get_profile(self, source_id: str) -> SourceProfile | None:
+        """The stored profile, or ``None`` when none was stored.
+
+        Raises ``StoreError`` naming the file for one that cannot be read
+        as a profile. Keys other than the profile's fields are ignored.
+        """
         path = self._source_dir(source_id) / "profile.json"
         if not path.exists():
             return None
-        data = json.loads(path.read_text(encoding="utf-8"))
-        return SourceProfile(
-            source_id=data["source_id"],
-            expected_windows_per_day=data["expected_windows_per_day"],
-            has_diagonal_as_stayers=data.get("has_diagonal_as_stayers", True),
-        )
+        try:
+            data = json.loads(path.read_text(encoding="utf-8"))
+            return SourceProfile(
+                source_id=data["source_id"],
+                expected_windows_per_day=data["expected_windows_per_day"],
+            )
+        except KeyError as exc:
+            raise StoreError(f"bad profile {path}: missing key {exc}") from exc
+        except (OSError, ValueError, TypeError) as exc:
+            raise StoreError(f"bad profile {path}: {exc}") from exc
 
     # -- snapshots -----------------------------------------------------
 
@@ -296,7 +303,11 @@ class HistoryStore:
         self, source_id: str, date: dt.date
     ) -> dict[TimeWindow, tuple[int, int]] | None:
         """Each indexed window's (offset, length) in the day file, or ``None``
-        when the index is absent, unreadable or out of step with the file."""
+        when the index is absent, unreadable or out of step with the file.
+
+        Anything but ``{"file_size": int, "windows": [{"start", "end",
+        "offset", "length", ...}, ...]}`` counts as unreadable.
+        """
         index_path = self._day_index(source_id, date)
         csv_path = self._day_csv(source_id, date)
         if not index_path.exists():
@@ -313,7 +324,7 @@ class HistoryStore:
                 ): (int(entry["offset"]), int(entry["length"]))
                 for entry in index["windows"]
             }
-        except (ValueError, KeyError, OSError):
+        except (ValueError, KeyError, TypeError, AttributeError, OSError):
             return None
 
     @staticmethod

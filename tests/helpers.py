@@ -1,17 +1,104 @@
-"""Shared test utilities: dense <-> sparse conversion and randomized
-store-backed comparison trials against the dense oracle."""
+"""Shared test utilities: single-series and single-window probes of the
+detector, dense <-> sparse conversion, and randomized store-backed
+comparison trials against the dense oracle."""
 
 from __future__ import annotations
 
 import datetime as dt
+from types import SimpleNamespace
 
 import numpy as np
 
 import dense_oracle
-from odmwatch import DetectorConfig, SparseOdm, TimeWindow, run_window
-from odmwatch.store import HistoryQuery, HistoryStore
+from odmwatch import DetectorConfig, SparseOdm, TimeWindow, _engine, run_window
+from odmwatch.detector import _DIRECTION_NAMES, _STATUS_NAMES
+from odmwatch.store import HistoryQuery, HistorySlice, HistoryStore
 
 BASE_DATE = dt.date(2021, 6, 7)  # a Monday
+
+
+def evaluate_cell(history, observed=0, t=None, th=20, mode="clamped"):
+    """Engine result for cell (0, 1) of one window.
+
+    ``history`` lists the cell's past values (``None`` = a missing period,
+    0 = the cell absent from an available period). When ``t`` is given,
+    seven diagonal filler cells of value t make t the day's 0.75 quantile
+    whatever ``observed`` is; diagonal cells leave the cell's marginals
+    alone. Returns the cell's status, observed, ma, sd, bounds, direction,
+    level and inc (``None`` where the engine computes none), plus the day's t.
+    """
+    fillers = 0 if t is None else 7
+    assert t is None or t >= th, "fillers below th could not set t"
+    n_areas = 2 + fillers
+
+    def matrix(value, with_fillers=False):
+        codes = [1] if value else []
+        values = [value] if value else []
+        if with_fillers:
+            codes += [k * n_areas + k for k in range(2, n_areas)]
+            values += [t] * fillers
+        return _engine.Columnar(np.array(codes, dtype=np.int64), np.array(values, dtype=np.int64))
+
+    evaluation = _engine.evaluate_window(
+        matrix(observed, with_fillers=True),
+        [None if v is None else matrix(v) for v in history],
+        n_areas,
+        th,
+        0.75,
+        mode,
+    )
+    assert evaluation.cell_codes[:1].tolist() == [1], "the cell is zero in every period"
+    block = evaluation.cells
+
+    def field(name, cast=float):
+        values = getattr(block, name)
+        return None if values is None else cast(values[0])
+
+    return SimpleNamespace(
+        status=_STATUS_NAMES[int(block.status[0])],
+        observed=int(block.observed[0]),
+        ma=field("ma"),
+        sd=field("sd"),
+        lower=field("lower"),
+        upper=field("upper"),
+        direction=field("direction", lambda code: _DIRECTION_NAMES.get(int(code))),
+        level=field("level", int),
+        inc=field("inc"),
+        available=evaluation.available,
+        t=evaluation.t,
+    )
+
+
+def cell_stats(history):
+    """(ma, sd, available) of one cell's history, from the engine.
+
+    The cell's current value is 1 so that it is in the window's universe
+    even when every past value is 0.
+    """
+    result = evaluate_cell(history, observed=1)
+    return result.ma, result.sd, result.available
+
+
+def no_history(window: TimeWindow) -> HistorySlice:
+    """A one-period history slice whose period is missing."""
+    return HistorySlice((window.date - dt.timedelta(days=7),), (None,))
+
+
+def report_threshold(current: SparseOdm, th: int = 20, q: float = 0.75):
+    """The ThresholdSet of ``run_window`` on ``current``."""
+    config = DetectorConfig(th=th, quantile=q)
+    return run_window(current, no_history(current.window), config).threshold
+
+
+def series_values(current: SparseOdm, slice_: HistorySlice | None = None) -> dict:
+    """Every monitored series of a window as {FlowKey: (observed, ma)}.
+
+    Runs ``run_window`` with an eligibility threshold no series reaches, so
+    that each series is reported; ma is ``None`` when every period is missing.
+    """
+    slice_ = slice_ or no_history(current.window)
+    report = run_window(current, slice_, DetectorConfig(th=2**62))
+    return {o.key: (o.observed, o.ma) for o in report.outcomes}
 
 
 def dense_to_sparse(dense: np.ndarray, labels: list[str], window: TimeWindow) -> SparseOdm:

@@ -12,29 +12,23 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import run_store_backed_trial
+from helpers import cell_stats, evaluate_cell, report_threshold, run_store_backed_trial
 from odmwatch import (
     DetectorConfig,
     FlowKey,
     SparseOdm,
     SynthSpec,
     TimeWindow,
-    bounds_for,
-    daily_quantile_threshold,
     detect_day,
-    evaluate_key,
     generate,
 )
 from odmwatch.bench import run_bench
 from odmwatch.cli import RunConfig, main
 from odmwatch.ingestion import parse_file
-from odmwatch.rolling import RollingStats, stats_from_values
 from odmwatch.store import HistoryStore
 from odmwatch.synth import AnomalySpec, write_generated
-from odmwatch.thresholds import ThresholdSet
 
 MONDAY = dt.date(2021, 6, 7)
-KEY = FlowKey.cell("A", "B")
 
 
 def ok(line: str) -> None:
@@ -50,20 +44,22 @@ def test_parameter_fidelity():
     assert config.stride == "weekly"
     assert config.bounds_mode == "clamped"
 
-    stats = stats_from_values(KEY, [90, 110, 90, 110])
-    assert stats.ma == 100.0
-    assert abs(stats.sd - 10.0) <= 1e-9 * 10.0
-    assert stats.available == 4
+    ma, sd, available = cell_stats([90, 110, 90, 110])
+    assert ma == 100.0
+    assert abs(sd - 10.0) <= 1e-9 * 10.0
+    assert available == 4
 
     window = TimeWindow.full_day(MONDAY)
     matrix = SparseOdm(window, {(f"O{i}", f"D{i}"): v for i, v in enumerate([20, 40, 60, 80])})
-    ts = daily_quantile_threshold(matrix, th=20, q=0.75)
+    ts = report_threshold(matrix, th=20, q=0.75)
     assert ts.t == 60.0
 
-    clamped = bounds_for(stats, ts, "clamped")
+    # The same history in a window whose day threshold is that t = 60.
+    clamped = evaluate_cell([90, 110, 90, 110], t=60, mode="clamped")
+    assert (clamped.ma, clamped.sd, clamped.t) == (ma, sd, ts.t)
     assert clamped.upper == 160.0
     assert clamped.lower == 40.0
-    literal = bounds_for(stats, ts, "paper_literal")
+    literal = evaluate_cell([90, 110, 90, 110], t=60, mode="paper_literal")
     assert literal.upper == 160.0
     assert literal.lower == 0.0
     ok(
@@ -76,26 +72,28 @@ def test_parameter_fidelity():
 
 
 def test_classification_bands():
-    ts = ThresholdSet(th=20, q=0.75, t=60.0, eligible_count=4)
-    stats = RollingStats(KEY, 100.0, 10.0, 4)
+    # th = 20, t = 60; the history [90, 110, 90, 110] gives ma = 100, sd = 10.
+    def classify(history, observed):
+        return evaluate_cell(history, observed=observed, t=60, th=20, mode="clamped")
 
-    spike = evaluate_key(250, stats, ts, "clamped")
+    spike = classify([90, 110, 90, 110], 250)
+    assert (spike.ma, spike.sd, spike.t) == (100.0, 10.0, 60.0)
     assert spike.status == "signal"
-    assert spike.signal.direction == "upper" and spike.signal.level == 3
+    assert spike.direction == "upper" and spike.level == 3
 
-    moderate = evaluate_key(170, stats, ts, "clamped")
-    assert moderate.signal.direction == "upper"
-    assert moderate.signal.inc_percent == 70.0
-    assert moderate.signal.level == 2
+    moderate = classify([90, 110, 90, 110], 170)
+    assert moderate.direction == "upper"
+    assert moderate.inc == 70.0
+    assert moderate.level == 2
 
-    drop = evaluate_key(10, stats, ts, "clamped")
-    assert drop.signal.direction == "lower" and drop.signal.level == 2
+    drop = classify([90, 110, 90, 110], 10)
+    assert drop.direction == "lower" and drop.level == 2
 
-    small = RollingStats(KEY, 15.0, 0.0, 4)
-    assert evaluate_key(500, small, ts, "clamped").status == "below_eligibility"
+    small = classify([15, 15, 15, 15], 500)
+    assert (small.ma, small.sd) == (15.0, 0.0)
+    assert small.status == "below_eligibility"
 
-    missing = RollingStats(KEY, None, None, 0)
-    assert evaluate_key(120, missing, ts, "clamped").status == "missing_data"
+    assert classify([None] * 4, 120).status == "missing_data"
     ok("classification bands: 250->L3 upper, 170->L2 upper, 10->L2 lower, th and missing rules")
 
 
@@ -317,7 +315,7 @@ def test_scale_performance():
 def test_detect_determinism(anomaly_world, tmp_path, capsys):
     store_root = anomaly_world["store"].root
     outputs = []
-    for name, workers in (("one.jsonl", "1"), ("two.jsonl", "8")):
+    for name in ("one.jsonl", "two.jsonl"):
         out = tmp_path / name
         code = main(
             [
@@ -330,8 +328,6 @@ def test_detect_determinism(anomaly_world, tmp_path, capsys):
                 str(store_root),
                 "--output",
                 str(out),
-                "--workers",
-                workers,
             ]
         )
         assert code == 0
@@ -339,4 +335,4 @@ def test_detect_determinism(anomaly_world, tmp_path, capsys):
     assert outputs[0] == outputs[1]
     header = json.loads(outputs[0].splitlines()[0])
     assert header["input_digest"]
-    ok("determinism: repeated cmd_detect runs byte-identical across worker counts")
+    ok("determinism: repeated cmd_detect runs byte-identical")

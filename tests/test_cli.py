@@ -147,9 +147,9 @@ def test_detect_missing_date_exits_three(synthetic_store, tmp_path, capsys):
     assert code == 3
 
 
-def test_detect_byte_identical_across_runs_and_workers(synthetic_store, tmp_path, capsys):
+def test_detect_byte_identical_across_runs(synthetic_store, tmp_path, capsys):
     outputs = []
-    for name, workers in (("a", "1"), ("b", "1"), ("c", "4")):
+    for name in ("a", "b", "c"):
         out = tmp_path / f"{name}.jsonl"
         code = main(
             [
@@ -162,13 +162,22 @@ def test_detect_byte_identical_across_runs_and_workers(synthetic_store, tmp_path
                 str(synthetic_store),
                 "--output",
                 str(out),
-                "--workers",
-                workers,
             ]
         )
         assert code == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("content", ["{", '{"source_id": "mno"}'], ids=["truncated", "missing-key"])
+def test_detect_corrupt_profile_exits_one(synthetic_store, tmp_path, capsys, content):
+    (synthetic_store / "mno" / "profile.json").write_text(content, encoding="utf-8")
+    argv = ["detect", "--source", "mno", "--date", str(MONDAY)]
+    argv += ["--store-root", str(synthetic_store)]
+    code = main(argv + ["--output", str(tmp_path / "r.jsonl")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "profile.json" in err
 
 
 def test_detect_csv_format(synthetic_store, tmp_path, capsys):
@@ -237,6 +246,19 @@ def test_config_file_and_flag_precedence(synthetic_store, tmp_path, capsys):
     assert code == 0
     header = json.loads(out.read_text().splitlines()[0])
     assert header["config"]["th"] == 20  # flag overrides file
+
+
+def test_workers_option_is_gone(synthetic_store, tmp_path, capsys):
+    # Windows are evaluated one after another; a config file that still
+    # sets workers= names the unknown key.
+    config = tmp_path / "odmwatch.conf"
+    config.write_text("workers=4\n", encoding="utf-8")
+    argv = ["detect", "--source", "mno", "--date", str(MONDAY)]
+    argv += ["--store-root", str(synthetic_store)]
+    assert main(argv + ["--config", str(config)]) == 1
+    assert "unknown key 'workers'" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(argv + ["--workers", "4"])
 
 
 def first_generated_pair(n_areas, density, base_volume, seed):

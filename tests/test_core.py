@@ -5,9 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_oracle
+from helpers import series_values
 from odmwatch import FlowKey, SparseOdm, TimeWindow
 
 W = TimeWindow.full_day(dt.date(2021, 6, 7))
+
+
+def marginals(m: SparseOdm) -> dict:
+    """Observed value of every monitored inbound and outbound series."""
+    return {
+        key: observed
+        for key, (observed, _) in series_values(m).items()
+        if key.kind != "cell"
+    }
 
 
 def test_cell_value_lookup():
@@ -23,35 +34,37 @@ def test_cell_value_empty_matrix():
 
 def test_inbound_excludes_diagonal():
     m = SparseOdm(W, {("A", "B"): 10, ("C", "B"): 5, ("B", "B"): 99})
-    assert m.inbound_excl_diag("B") == 15
+    assert marginals(m)[FlowKey.inbound("B")] == 15
 
 
 def test_inbound_diagonal_only():
-    assert SparseOdm(W, {("B", "B"): 99}).inbound_excl_diag("B") == 0
-    assert SparseOdm(W, {}).inbound_excl_diag("B") == 0
+    assert marginals(SparseOdm(W, {("B", "B"): 99}))[FlowKey.inbound("B")] == 0
+    assert marginals(SparseOdm(W, {})).get(FlowKey.inbound("B"), 0) == 0
 
 
 def test_outbound_excludes_diagonal():
     m = SparseOdm(W, {("A", "B"): 10, ("A", "C"): 5, ("A", "A"): 99})
-    assert m.outbound_excl_diag("A") == 15
-    assert SparseOdm(W, {("A", "A"): 99}).outbound_excl_diag("A") == 0
+    assert marginals(m)[FlowKey.outbound("A")] == 15
+    assert marginals(SparseOdm(W, {("A", "A"): 99}))[FlowKey.outbound("A")] == 0
 
 
 def test_all_marginals_single_entry():
     m = SparseOdm(W, {("A", "B"): 10})
-    assert m.all_marginals_excl_diag() == {
+    assert marginals(m) == {
         FlowKey.outbound("A"): 10,
         FlowKey.inbound("B"): 10,
     }
 
 
 def test_all_marginals_diagonal_only_is_empty():
-    assert SparseOdm(W, {("A", "A"): 7}).all_marginals_excl_diag() == {}
+    # The area's two marginals are monitored, at 0.
+    nonzero = {k: v for k, v in marginals(SparseOdm(W, {("A", "A"): 7})).items() if v}
+    assert nonzero == {}
 
 
 def test_all_marginals_two_way():
     m = SparseOdm(W, {("A", "B"): 10, ("B", "A"): 4})
-    assert m.all_marginals_excl_diag() == {
+    assert marginals(m) == {
         FlowKey.outbound("A"): 10,
         FlowKey.inbound("B"): 10,
         FlowKey.outbound("B"): 4,
@@ -115,23 +128,28 @@ def test_marginals_match_dense_brute_force(data):
     dense = np.zeros((len(labels), len(labels)), dtype=np.int64)
     for (o, d), v in m.entries.items():
         dense[labels.index(o), labels.index(d)] = v
-    for j, label in enumerate(labels):
-        expected = sum(int(dense[i, j]) for i in range(len(labels)) if i != j)
-        assert m.inbound_excl_diag(label) == expected
+    outbound, inbound = dense_oracle.dense_marginals(dense)
+    got = marginals(m)
     for i, label in enumerate(labels):
-        expected = sum(int(dense[i, j]) for j in range(len(labels)) if j != i)
-        assert m.outbound_excl_diag(label) == expected
+        assert got.get(FlowKey.inbound(label), 0) == inbound[i]
+        assert got.get(FlowKey.outbound(label), 0) == outbound[i]
 
 
 @settings(max_examples=100, deadline=None)
 @given(sparse_matrices())
 def test_marginal_mass_balance(data):
-    labels, m = data
+    _, m = data
     off_diag = sum(v for (o, d), v in m.entries.items() if o != d)
-    assert sum(m.inbound_excl_diag(l) for l in labels) == off_diag
-    assert sum(m.outbound_excl_diag(l) for l in labels) == off_diag
-    # single-pass marginals agree with the per-area accessors
-    marginals = m.all_marginals_excl_diag()
-    for key, value in marginals.items():
-        assert value == m.value_of(key)
-        assert value > 0
+    got = marginals(m)
+    assert sum(v for key, v in got.items() if key.kind == "inbound") == off_diag
+    assert sum(v for key, v in got.items() if key.kind == "outbound") == off_diag
+
+
+def test_public_api_resolves():
+    import odmwatch
+
+    for name in odmwatch.__all__:
+        assert getattr(odmwatch, name) is not None, name
+    namespace: dict = {}
+    exec("from odmwatch import *", namespace)
+    assert set(odmwatch.__all__) <= set(namespace)

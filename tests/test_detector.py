@@ -5,14 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import dense_oracle
 from helpers import (
     BASE_DATE,
-    compare_report_to_oracle,
     dense_to_sparse,
+    evaluate_cell,
     run_store_backed_trial,
 )
 from odmwatch import (
@@ -20,26 +19,16 @@ from odmwatch import (
     FlowKey,
     SparseOdm,
     TimeWindow,
-    classify_level,
     detect_day,
-    evaluate_key,
     run_window,
 )
 from odmwatch.detector import write_day_report_csv, write_day_report_jsonl, REPORT_COLUMNS
-from odmwatch.rolling import RollingStats
 from odmwatch.store import HistorySlice, HistoryStore
-from odmwatch.thresholds import ThresholdSet
 
 W = TimeWindow.full_day(BASE_DATE)
-KEY = FlowKey.cell("A", "B")
 
-
-def ts(t=60.0, th=20, q=0.75):
-    return ThresholdSet(th=th, q=q, t=t, eligible_count=10)
-
-
-def stats(ma, sd, available=4):
-    return RollingStats(KEY, float(ma), float(sd), available)
+# The history of the worked example: ma 100, sd 10.
+MA100_SD10 = [90, 110, 90, 110]
 
 
 # -- classification ------------------------------------------------------
@@ -59,61 +48,69 @@ def stats(ma, sd, available=4):
     ],
 )
 def test_classify_level_bands(inc, level):
-    assert classify_level(inc) == level
+    # A constant history of 10000 (0 for a flow born from nothing) and the
+    # observed value that gives the increment; t = 1 makes every change a signal.
+    if math.isinf(inc):
+        result = evaluate_cell([0] * 4, observed=7, t=1, th=0)
+    else:
+        result = evaluate_cell([10000] * 4, observed=round(10000 * (1 + inc / 100)), t=1, th=0)
+        assert result.inc == pytest.approx(inc)
+    assert result.status == "signal"
+    assert result.level == level
 
 
 def test_evaluate_upper_signal():
-    outcome = evaluate_key(250, stats(100, 10), ts(), "clamped")
+    outcome = evaluate_cell(MA100_SD10, observed=250, t=60)
     assert outcome.status == "signal"
-    assert outcome.signal.direction == "upper"
-    assert outcome.signal.inc_percent == 150.0
-    assert outcome.signal.level == 3
+    assert outcome.direction == "upper"
+    assert outcome.inc == 150.0
+    assert outcome.level == 3
 
 
 def test_evaluate_lower_signal():
-    outcome = evaluate_key(10, stats(100, 10), ts(), "clamped")
-    assert outcome.signal.direction == "lower"
-    assert outcome.signal.inc_percent == -90.0
-    assert outcome.signal.level == 2
+    outcome = evaluate_cell(MA100_SD10, observed=10, t=60)
+    assert outcome.direction == "lower"
+    assert outcome.inc == -90.0
+    assert outcome.level == 2
 
 
 def test_evaluate_below_eligibility_beats_bounds():
-    outcome = evaluate_key(500, stats(15, 0), ts(), "clamped")
+    outcome = evaluate_cell([15] * 4, observed=500, t=60)
     assert outcome.status == "below_eligibility"
-    assert outcome.signal is None
+    assert outcome.direction is None
 
 
 def test_evaluate_missing_beats_everything():
-    outcome = evaluate_key(120, RollingStats(KEY, None, None, 0), ts(), "clamped")
+    outcome = evaluate_cell([None] * 4, observed=120, t=60)
     assert outcome.status == "missing_data"
     assert outcome.ma is None
 
 
 def test_evaluate_within_bounds():
-    outcome = evaluate_key(150, stats(100, 10), ts(), "clamped")
+    outcome = evaluate_cell(MA100_SD10, observed=150, t=60)
     assert outcome.status == "no_signal"
 
 
 def test_evaluate_boundary_is_no_signal():
     # Exactly on the bound is level 0 on both sides.
-    assert evaluate_key(160, stats(100, 10), ts(), "clamped").status == "no_signal"
-    assert evaluate_key(40, stats(100, 10), ts(), "clamped").status == "no_signal"
+    assert evaluate_cell(MA100_SD10, observed=160, t=60).status == "no_signal"
+    assert evaluate_cell(MA100_SD10, observed=40, t=60).status == "no_signal"
 
 
 def test_evaluate_ma_at_threshold_is_eligible():
-    assert evaluate_key(20, stats(20, 0), ts(t=60.0), "clamped").status == "no_signal"
+    assert evaluate_cell([20] * 4, observed=20, t=60).status == "no_signal"
 
 
 def test_lower_never_fires_in_literal_mode():
-    outcome = evaluate_key(0, stats(100, 10), ts(), "paper_literal")
+    outcome = evaluate_cell(MA100_SD10, observed=0, t=60, mode="paper_literal")
     assert outcome.status == "no_signal"
 
 
 def test_flow_born_from_nothing_is_level3():
-    outcome = evaluate_key(7, stats(0, 0), ts(t=5.0, th=0), "clamped")
+    outcome = evaluate_cell([0] * 4, observed=7, t=5, th=0)
     assert outcome.status == "signal"
-    assert outcome.signal.inc_percent == math.inf
-    assert outcome.signal.level == 3
+    assert outcome.inc == math.inf
+    assert outcome.level == 3
 
 
 # -- run_window ----------------------------------------------------------
@@ -224,38 +221,20 @@ def test_partition_property():
     st.integers(min_value=0, max_value=150),
     st.integers(min_value=2, max_value=9),
 )
-def test_scale_equivariance(scale, observed, history, t, th):
+def test_scale_equivariance(scale, observed, history, t_above_th, th):
     """Multiplying observed, history, t and th by a common factor preserves
     status, direction and inc."""
-    base_stats = RollingStats(KEY, None, None, 0)
-    config_pairs = []
+    assume(observed or any(history))  # otherwise the cell is not monitored
+    t = th + t_above_th
     for mode in ("clamped", "paper_literal"):
-        a = evaluate_key(
-            observed,
-            _stats_of(history),
-            ThresholdSet(th=th, q=0.75, t=float(t), eligible_count=1),
-            mode,
-        )
-        b = evaluate_key(
-            observed * scale,
-            _stats_of([v * scale for v in history]),
-            ThresholdSet(th=th * scale, q=0.75, t=float(t * scale), eligible_count=1),
-            mode,
-        )
-        config_pairs.append((a, b))
-    for a, b in config_pairs:
+        a = evaluate_cell(history, observed, t, th, mode)
+        scaled_history = [v * scale for v in history]
+        b = evaluate_cell(scaled_history, observed * scale, t * scale, th * scale, mode)
         assert a.status == b.status
-        if a.signal:
-            assert a.signal.direction == b.signal.direction
-            assert a.signal.inc_percent == pytest.approx(b.signal.inc_percent, rel=1e-9)
-            assert a.signal.level == b.signal.level
-    assert base_stats.all_missing  # silence unused fixture-style variable
-
-
-def _stats_of(history):
-    from odmwatch.rolling import stats_from_values
-
-    return stats_from_values(KEY, history)
+        if a.status == "signal":
+            assert a.direction == b.direction
+            assert a.inc == pytest.approx(b.inc, rel=1e-9)
+            assert a.level == b.level
 
 
 def test_oracle_equivalence_small_batch(tmp_path):
@@ -263,52 +242,6 @@ def test_oracle_equivalence_small_batch(tmp_path):
     for trial in range(20):
         problems = run_store_backed_trial(rng, tmp_path / "store", trial)
         assert problems == [], f"trial {trial}: {problems[:5]}"
-
-
-def test_run_window_matches_scalar_composition():
-    """The vectorized path must equal the scalar per-key pipeline
-    (rolling stats -> quantile -> evaluate_key) bit for bit."""
-    from odmwatch import daily_quantile_threshold, key_universe, rolling_stats_for_keys
-
-    rng = np.random.default_rng(23)
-    labels = [f"A{i}" for i in range(15)]
-    def rand_matrix(window):
-        dense = (rng.random((15, 15)) < 0.35) * rng.integers(0, 250, (15, 15))
-        return dense_to_sparse(dense.astype(np.int64), labels, window)
-
-    current = rand_matrix(W)
-    slots = tuple(
-        rand_matrix(TimeWindow.full_day(d)) if k != 2 else None
-        for k, d in enumerate(weekly_dates(4))
-    )
-    slice_ = HistorySlice(weekly_dates(4), slots)
-    config = DetectorConfig(th=5, quantile=0.75)
-
-    report = run_window(current, slice_, config)
-
-    universe = key_universe(current, slice_)
-    ts = daily_quantile_threshold(current, config.th, config.quantile)
-    assert ts.t == report.threshold.t
-    all_stats = rolling_stats_for_keys(slice_, universe)
-    expected = {}
-    for key, stats in zip(universe, all_stats):
-        outcome = evaluate_key(current.value_of(key), stats, ts, config.bounds_mode, W)
-        if outcome.status != "no_signal":
-            expected[key] = outcome
-    got = {o.key: o for o in report.outcomes}
-    assert set(got) == set(expected)
-    assert report.summary["keys"] == len(universe)
-    for key, want in expected.items():
-        have = got[key]
-        assert have.status == want.status
-        assert have.observed == want.observed
-        assert have.ma == want.ma and have.sd == want.sd
-        if want.signal is not None:
-            assert have.signal.direction == want.signal.direction
-            assert have.signal.level == want.signal.level
-            assert have.signal.inc_percent == want.signal.inc_percent
-            assert have.signal.lower_bound == want.signal.lower_bound
-            assert have.signal.upper_bound == want.signal.upper_bound
 
 
 # -- detect_day and serialization ----------------------------------------
@@ -337,18 +270,6 @@ def test_detect_day_empty_date(loaded_store):
     report = detect_day(loaded_store, "src", BASE_DATE + dt.timedelta(days=1), DetectorConfig())
     assert report.fully_missing
     assert report.window_reports == []
-
-
-def test_detect_day_worker_count_invariance(loaded_store):
-    a = io.StringIO()
-    b = io.StringIO()
-    write_day_report_jsonl(
-        detect_day(loaded_store, "src", BASE_DATE, DetectorConfig(), workers=1), a
-    )
-    write_day_report_jsonl(
-        detect_day(loaded_store, "src", BASE_DATE, DetectorConfig(), workers=4), b
-    )
-    assert a.getvalue() == b.getvalue()
 
 
 def test_jsonl_report_shape(loaded_store):

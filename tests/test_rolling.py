@@ -1,3 +1,6 @@
+"""Rolling mean and deviation of a series over its history, as the engine
+computes them (see the ``_engine`` module docstring for the rules)."""
+
 import datetime as dt
 import math
 
@@ -6,68 +9,38 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from odmwatch import FlowKey, SparseOdm, TimeWindow, key_universe, rolling_stats_for_keys
+import dense_oracle
+from helpers import cell_stats, series_values
+from odmwatch import FlowKey, SparseOdm, TimeWindow
 from odmwatch._engine import Columnar, evaluate_window
-from odmwatch.rolling import stats_from_values
 from odmwatch.store import HistorySlice
 
 MONDAY = dt.date(2021, 6, 7)
-KEY = FlowKey.cell("A", "B")
-
-
-def make_slice(values, p=None):
-    """History slice holding a single (A,B) cell; None marks a missing date."""
-    values = list(values)
-    p = p or len(values)
-    dates = tuple(MONDAY - dt.timedelta(days=7 * (k + 1)) for k in range(p))
-    slots = []
-    for k in range(p):
-        v = values[k] if k < len(values) else None
-        if v is None:
-            slots.append(None)
-        else:
-            window = TimeWindow.full_day(dates[k])
-            slots.append(SparseOdm(window, {("A", "B"): v} if v else {}))
-    return HistorySlice(dates, tuple(slots))
 
 
 def test_constant_series():
-    (stats,) = rolling_stats_for_keys(make_slice([100, 100, 100, 100]), [KEY])
-    assert stats.ma == 100.0
-    assert stats.sd == 0.0
-    assert stats.available == 4
+    assert cell_stats([100, 100, 100, 100]) == (100.0, 0.0, 4)
 
 
 def test_alternating_series():
-    (stats,) = rolling_stats_for_keys(make_slice([90, 110, 90, 110]), [KEY])
-    assert stats.ma == 100.0
-    assert stats.sd == 10.0
+    ma, sd, _ = cell_stats([90, 110, 90, 110])
+    assert ma == 100.0
+    assert sd == 10.0
 
 
 def test_missing_slots_excluded_from_n():
-    (stats,) = rolling_stats_for_keys(make_slice([120, None, 80, None]), [KEY])
-    assert stats.available == 2
-    assert stats.ma == 100.0
-    assert stats.sd == 20.0
+    assert cell_stats([120, None, 80, None]) == (100.0, 20.0, 2)
 
 
 def test_absent_key_counts_as_zero():
-    # (A,B) absent from one available matrix: value 0, still 4 periods.
-    slice_ = make_slice([100, 0, 100, 100])
-    (stats,) = rolling_stats_for_keys(slice_, [KEY])
-    assert stats.available == 4
-    assert stats.ma == 75.0
+    # The cell absent from one available matrix: value 0, still 4 periods.
+    ma, _, available = cell_stats([100, 0, 100, 100])
+    assert available == 4
+    assert ma == 75.0
 
 
 def test_all_missing_is_flagged():
-    (stats,) = rolling_stats_for_keys(make_slice([None, None]), [KEY])
-    assert stats.all_missing
-    assert stats.ma is None and stats.sd is None
-
-
-def test_empty_key_list_rejected():
-    with pytest.raises(ValueError):
-        rolling_stats_for_keys(make_slice([1]), [])
+    assert cell_stats([None, None]) == (None, None, 0)
 
 
 def test_marginal_key_stats():
@@ -75,17 +48,21 @@ def test_marginal_key_stats():
     m = SparseOdm(
         TimeWindow.full_day(dates[0]), {("A", "B"): 10, ("C", "B"): 5, ("B", "B"): 99}
     )
-    slice_ = HistorySlice(dates, (m,))
-    (stats,) = rolling_stats_for_keys(slice_, [FlowKey.inbound("B")])
-    assert stats.ma == 15.0
+    current = SparseOdm(TimeWindow.full_day(MONDAY), {})
+    _, ma = series_values(current, HistorySlice(dates, (m,)))[FlowKey.inbound("B")]
+    assert ma == 15.0
+
+
+def universe(current, slice_):
+    """The window's monitored series, in report order."""
+    return list(series_values(current, slice_))
 
 
 def test_key_universe_union():
     current = SparseOdm(TimeWindow.full_day(MONDAY), {("A", "B"): 1})
     past = SparseOdm(TimeWindow.full_day(MONDAY - dt.timedelta(days=7)), {("A", "C"): 2})
     slice_ = HistorySlice((past.window.date,), (past,))
-    universe = key_universe(current, slice_)
-    assert set(universe) == {
+    assert set(universe(current, slice_)) == {
         FlowKey.cell("A", "B"),
         FlowKey.cell("A", "C"),
         FlowKey.outbound("A"),
@@ -97,14 +74,13 @@ def test_key_universe_union():
 def test_key_universe_empty():
     current = SparseOdm(TimeWindow.full_day(MONDAY), {})
     slice_ = HistorySlice((MONDAY - dt.timedelta(days=7),), (None,))
-    assert key_universe(current, slice_) == []
+    assert universe(current, slice_) == []
 
 
 def test_key_universe_diagonal_only():
     current = SparseOdm(TimeWindow.full_day(MONDAY), {("A", "A"): 5})
     slice_ = HistorySlice((MONDAY - dt.timedelta(days=7),), (None,))
-    universe = key_universe(current, slice_)
-    assert set(universe) == {
+    assert set(universe(current, slice_)) == {
         FlowKey.cell("A", "A"),
         FlowKey.outbound("A"),
         FlowKey.inbound("A"),
@@ -116,9 +92,9 @@ def test_key_universe_is_sorted():
         TimeWindow.full_day(MONDAY), {("B", "A"): 1, ("A", "B"): 1, ("A", "A"): 1}
     )
     slice_ = HistorySlice((MONDAY - dt.timedelta(days=7),), (None,))
-    universe = key_universe(current, slice_)
-    assert universe == sorted(universe, key=FlowKey.sort_key)
-    assert [k.kind for k in universe] == sorted(k.kind for k in universe)
+    keys = universe(current, slice_)
+    assert keys == sorted(keys, key=FlowKey.sort_key)
+    assert [k.kind for k in keys] == sorted(k.kind for k in keys)
 
 
 values_lists = st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=8)
@@ -127,11 +103,11 @@ values_lists = st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, m
 @settings(max_examples=150, deadline=None)
 @given(values_lists)
 def test_sd_identity(values):
-    stats = stats_from_values(KEY, values)
+    ma, sd, _ = cell_stats(values)
     n = len(values)
     mean_sq = sum(v * v for v in values) / n
-    assert stats.sd is not None and stats.ma is not None
-    assert stats.sd**2 + stats.ma**2 == pytest.approx(mean_sq, rel=1e-9)
+    assert sd is not None and ma is not None
+    assert sd**2 + ma**2 == pytest.approx(mean_sq, rel=1e-9)
 
 
 @settings(max_examples=100, deadline=None)
@@ -139,9 +115,7 @@ def test_sd_identity(values):
 def test_order_invariance(values, rnd):
     shuffled = list(values)
     rnd.shuffle(shuffled)
-    a = stats_from_values(KEY, values)
-    b = stats_from_values(KEY, shuffled)
-    assert a.ma == b.ma and a.sd == b.sd
+    assert cell_stats(values) == cell_stats(shuffled)
 
 
 @settings(max_examples=50, deadline=None)
@@ -149,9 +123,9 @@ def test_order_invariance(values, rnd):
 @example(value=54794159, n=3)
 @example(value=956535993, n=3)
 def test_constant_series_exact(value, n):
-    stats = stats_from_values(KEY, [value] * n)
-    assert stats.ma == float(value)
-    assert stats.sd == 0.0
+    ma, sd, _ = cell_stats([value] * n)
+    assert ma == float(value)
+    assert sd == 0.0
 
 
 def test_engine_constant_history_exact():
@@ -172,18 +146,18 @@ def test_marginalize_then_average_equals_average_then_marginalize():
     dates = tuple(MONDAY - dt.timedelta(days=7 * k) for k in (1, 2))
     m1 = SparseOdm(TimeWindow.full_day(dates[0]), {("A", "B"): 10, ("C", "B"): 2})
     m2 = SparseOdm(TimeWindow.full_day(dates[1]), {("A", "B"): 20, ("B", "B"): 9})
-    slice_ = HistorySlice(dates, (m1, m2))
-    (stats,) = rolling_stats_for_keys(slice_, [FlowKey.inbound("B")])
-    per_date = [m1.inbound_excl_diag("B"), m2.inbound_excl_diag("B")]
-    assert stats.ma == sum(per_date) / 2
+    current = SparseOdm(TimeWindow.full_day(MONDAY), {})
+    _, ma = series_values(current, HistorySlice(dates, (m1, m2)))[FlowKey.inbound("B")]
+    per_date = [series_values(m)[FlowKey.inbound("B")][0] for m in (m1, m2)]
+    assert ma == sum(per_date) / 2
     mean_matrix_marginal = (10 + 2 + 20) / 2
-    assert stats.ma == mean_matrix_marginal
+    assert ma == mean_matrix_marginal
 
 
 def test_float_cast_matches_engine_semantics():
-    # Huge totals: the scalar path must round the integer sum to float
-    # before dividing, exactly like the vectorized int64 -> float64 cast.
+    # Huge totals: the dense oracle must round the integer sum to float
+    # before dividing, exactly like the engine's int64 -> float64 cast.
     big = 2**60 + 3
-    stats = stats_from_values(KEY, [big, big])
-    assert stats.ma == float(2 * big) / 2
-    assert math.isfinite(stats.ma)
+    record = dense_oracle.series_outcome(0, [big, big], th=0, t=0.0, mode="clamped")
+    assert record["ma"] == float(2 * big) / 2
+    assert math.isfinite(record["ma"])

@@ -1,4 +1,5 @@
 import datetime as dt
+import json
 import logging
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from odmwatch import HistoryQuery, HistoryStore, SparseOdm, TimeWindow
 from odmwatch import store as store_module
 from odmwatch.ingestion import SourceProfile
-from odmwatch.store import retention_for
+from odmwatch.store import StoreError, retention_for
 
 MONDAY = dt.date(2021, 6, 7)
 
@@ -112,10 +113,44 @@ def test_fetch_history_matches_window_times(store):
 
 
 def test_profile_round_trip(store):
-    profile = SourceProfile("src", expected_windows_per_day=24, has_diagonal_as_stayers=False)
+    profile = SourceProfile("src", expected_windows_per_day=24)
     store.put_profile(profile)
     assert store.get_profile("src") == profile
     assert store.get_profile("other") is None
+    stored = json.loads((store.root / "src" / "profile.json").read_text(encoding="utf-8"))
+    assert stored == {"source_id": "src", "expected_windows_per_day": 24}
+
+
+def test_profile_with_retired_key_still_loads(store):
+    # Profiles once also stored has_diagonal_as_stayers; nothing reads it.
+    path = store.root / "src" / "profile.json"
+    path.parent.mkdir(parents=True)
+    path.write_text(
+        '{"source_id":"src","expected_windows_per_day":24,"has_diagonal_as_stayers":false}',
+        encoding="utf-8",
+    )
+    assert store.get_profile("src") == SourceProfile("src", expected_windows_per_day=24)
+
+
+@pytest.mark.parametrize(
+    "content,reason",
+    [
+        ("{", "Expecting property name"),
+        ('{"source_id": "src"}', "missing key 'expected_windows_per_day'"),
+        ("[]", "list indices"),
+        ('{"source_id": "src", "expected_windows_per_day": 0}', "must be an integer >= 1"),
+        ('{"source_id": "src", "expected_windows_per_day": "24"}', "must be an integer >= 1"),
+    ],
+    ids=["truncated", "missing-key", "not-an-object", "zero-windows", "string-windows"],
+)
+def test_corrupt_profile_raises_store_error(store, content, reason):
+    path = store.root / "src" / "profile.json"
+    path.parent.mkdir(parents=True)
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(StoreError) as excinfo:
+        store.get_profile("src")
+    assert str(path) in str(excinfo.value)
+    assert reason in str(excinfo.value)
 
 
 def test_retention_prunes_old_days(tmp_path):
@@ -142,20 +177,25 @@ def test_retention_default_policy():
 def test_stale_index_falls_back_to_full_parse(store, tmp_path, caplog):
     m = snap(MONDAY, {("A", "B"): 10, ("C", "D"): 4})
     store.put_snapshot("src", m)
-    # Corrupt the sidecar: claimed size no longer matches the CSV.
     index_path = store.root / "src" / f"{MONDAY.isoformat()}.index.json"
-    index_path.write_text('{"file_size": 1, "windows": []}', encoding="utf-8")
-    day_path = str(store.root / "src" / f"{MONDAY.isoformat()}.csv")
-    for read, expected in (
-        (lambda: store.get_snapshot("src", m.window), m),
-        (lambda: store.windows_for("src", MONDAY), [m.window]),
+    day_path = store.root / "src" / f"{MONDAY.isoformat()}.csv"
+    size = day_path.stat().st_size
+    for index in (
+        '{"file_size": 1, "windows": []}',  # claimed size no longer matches the CSV
+        "[]",  # not an object
+        f'{{"file_size": {size}, "windows": [1]}}',  # a window entry that is not an object
     ):
-        caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="odmwatch.store"):
-            assert read() == expected
-        (record,) = caplog.records
-        assert record.levelno == logging.WARNING
-        assert day_path in record.getMessage()
+        index_path.write_text(index, encoding="utf-8")
+        for read, expected in (
+            (lambda: store.get_snapshot("src", m.window), m),
+            (lambda: store.windows_for("src", MONDAY), [m.window]),
+        ):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="odmwatch.store"):
+                assert read() == expected, index
+            (record,) = caplog.records
+            assert record.levelno == logging.WARNING
+            assert str(day_path) in record.getMessage()
 
 
 def test_windows_for_reads_the_index(store, monkeypatch):
