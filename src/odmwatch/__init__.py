@@ -4,8 +4,6 @@ from .core import AreaId, FlowKey, SparseOdm, TimeWindow
 from .detector import (
     DetectorConfig,
     DayReport,
-    KeyOutcome,
-    Signal,
     ThresholdSet,
     WindowReport,
     detect_day,
@@ -34,10 +32,8 @@ __all__ = [
     "HistoryQuery",
     "HistorySlice",
     "HistoryStore",
-    "KeyOutcome",
     "OdmIntegrityError",
     "OdmParseError",
-    "Signal",
     "SourceProfile",
     "SparseOdm",
     "SynthSpec",

@@ -31,7 +31,7 @@ from .ingestion import (
     parse_file,
     validate_day,
 )
-from .store import HistoryStore, StoreError, retention_for
+from .store import HistoryStore, StoreError, atomic_open, retention_for
 from .synth import SynthSpecError, generate, load_spec_file, write_generated
 
 logger = logging.getLogger("odmwatch")
@@ -165,7 +165,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     if config.format == "csv":
         write_day_report_csv(report, output)
     else:
-        with open(output, "w", encoding="utf-8", newline="") as handle:
+        with atomic_open(output, "w", encoding="utf-8", newline="") as handle:
             write_day_report_jsonl(report, handle)
 
     totals = report.summary()

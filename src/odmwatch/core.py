@@ -20,6 +20,9 @@ AreaId = str
 FULL_DAY_START = dt.time(0, 0, 0)
 FULL_DAY_END = dt.time(23, 59, 59)
 
+# Counts are stored and evaluated as int64.
+MAX_COUNT = 2**63 - 1
+
 
 @dataclass(frozen=True, order=True)
 class TimeWindow:
@@ -84,11 +87,6 @@ class FlowKey:
     def outbound(cls, origin: AreaId) -> "FlowKey":
         return cls("outbound", origin=origin)
 
-    def sort_key(self) -> tuple[str, str, str]:
-        # kind names happen to sort cell < inbound < outbound, which is the
-        # report order; within a kind, order by area labels.
-        return (self.kind, self.origin or "", self.destination or "")
-
 
 def _validate_label(label: AreaId) -> None:
     if not isinstance(label, str) or not label:
@@ -119,6 +117,11 @@ class SparseOdm:
                 raise ValueError(f"count for ({origin}, {destination}) must be an integer")
             if count < 0:
                 raise ValueError(f"negative count {count} for ({origin}, {destination})")
+            if count > MAX_COUNT:
+                raise ValueError(
+                    f"count {count} for ({origin}, {destination}) exceeds the int64 "
+                    f"limit {MAX_COUNT}"
+                )
             if (origin, destination) in store:
                 raise ValueError(f"duplicate cell ({origin}, {destination})")
             if count > 0:

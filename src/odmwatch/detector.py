@@ -20,15 +20,16 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import IO, Iterator
 
 import numpy as np
 
 from . import _engine
-from .core import FlowKey, SparseOdm, TimeWindow
+from .core import SparseOdm, TimeWindow
 from .ingestion import window_gaps
-from .store import HistoryQuery, HistorySlice, HistoryStore
+from .store import HistoryQuery, HistorySlice, HistoryStore, atomic_open
 
 BOUNDS_MODES = ("clamped", "paper_literal")
 
@@ -51,13 +52,13 @@ REPORT_COLUMNS = (
     "upper",
 )
 
-_STATUS_NAMES = {
-    _engine.STATUS_NO_SIGNAL: "no_signal",
-    _engine.STATUS_SIGNAL: "signal",
-    _engine.STATUS_BELOW_ELIGIBILITY: "below_eligibility",
-    _engine.STATUS_MISSING_DATA: "missing_data",
-}
-_DIRECTION_NAMES = {_engine.DIR_UPPER: "upper", _engine.DIR_LOWER: "lower"}
+_INC = REPORT_COLUMNS.index("inc_percent")
+
+# Labels indexed by the engine's STATUS_* and DIR_* codes.
+_STATUS_NAMES = np.array(
+    ["no_signal", "signal", "below_eligibility", "missing_data"], dtype=object
+)
+_DIRECTION_NAMES = np.array([None, "upper", "lower"], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -92,43 +93,17 @@ class ThresholdSet:
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
-class Signal:
-    """One out-of-bounds observation."""
-
-    key: FlowKey
-    window: TimeWindow | None
-    direction: str
-    level: int
-    inc_percent: float
-    observed: int
-    ma: float
-    sd: float
-    lower_bound: float
-    upper_bound: float
-
-
-@dataclass(frozen=True)
-class KeyOutcome:
-    """Exactly one status per key per window."""
-
-    key: FlowKey
-    status: str
-    observed: int
-    ma: float | None = None
-    sd: float | None = None
-    signal: Signal | None = None
-
-
 @dataclass
 class WindowReport:
+    """One window's result. ``outcomes`` holds one tuple per series whose
+    status is not ``no_signal``, in ``REPORT_COLUMNS`` order."""
+
     source_id: str
     window: TimeWindow
     threshold: ThresholdSet
     available: int
-    outcomes: list[KeyOutcome]
+    outcomes: list[tuple]
     summary: dict[str, int]
-    timings: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -157,56 +132,55 @@ class DayReport:
         return totals
 
 
-def _materialize_outcomes(
+def _report_rows(
     evaluation: _engine.WindowEvaluation,
     labels: list[str],
+    source_id: str,
     window: TimeWindow,
-) -> list[KeyOutcome]:
-    """Build KeyOutcome objects for every non-level0 series, in report order."""
-    outcomes: list[KeyOutcome] = []
+) -> list[tuple]:
+    """One ``REPORT_COLUMNS`` tuple per series that is not level 0, in report
+    order; fields a status does not have are ``None``."""
+    names = np.array(labels, dtype=object)
     n_areas = evaluation.n_areas
-
-    def key_for(kind: str, code: int) -> FlowKey:
-        if kind == "cell":
-            return FlowKey.cell(labels[code // n_areas], labels[code % n_areas])
-        if kind == "inbound":
-            return FlowKey.inbound(labels[code])
-        return FlowKey.outbound(labels[code])
-
+    head = (source_id, window.date.isoformat(), window.start.isoformat(), window.end.isoformat())
+    rows: list[tuple] = []
     for kind, codes, block in evaluation.blocks():
         hits = np.flatnonzero(block.status != _engine.STATUS_NO_SIGNAL)
-        for i in hits:
-            status = _STATUS_NAMES[int(block.status[i])]
-            key = key_for(kind, int(codes[i]))
-            observed = int(block.observed[i])
-            if status == "missing_data":
-                outcomes.append(KeyOutcome(key=key, status=status, observed=observed))
-                continue
-            ma = float(block.ma[i])
-            sd = float(block.sd[i])
-            if status == "below_eligibility":
-                outcomes.append(
-                    KeyOutcome(key=key, status=status, observed=observed, ma=ma, sd=sd)
-                )
-                continue
-            signal = Signal(
-                key=key,
-                window=window,
-                direction=_DIRECTION_NAMES[int(block.direction[i])],
-                level=int(block.level[i]),
-                inc_percent=float(block.inc[i]),
-                observed=observed,
-                ma=ma,
-                sd=sd,
-                lower_bound=float(block.lower[i]),
-                upper_bound=float(block.upper[i]),
+        codes = codes[hits]
+        status = block.status[hits]
+        none = [None] * len(hits)
+        if kind == "cell":
+            origin = names[codes // n_areas].tolist()
+            destination = names[codes % n_areas].tolist()
+        elif kind == "inbound":
+            origin, destination = none, names[codes].tolist()
+        else:
+            origin, destination = names[codes].tolist(), none
+        if block.ma is None:  # missing data: no period to compare to
+            ma = sd = direction = level = inc = lower = upper = none
+        else:
+            signal = status == _engine.STATUS_SIGNAL
+            ma, sd = block.ma[hits].tolist(), block.sd[hits].tolist()
+            direction = _DIRECTION_NAMES[block.direction[hits]].tolist()
+            level, inc, lower, upper = (
+                np.where(signal, values[hits], None).tolist()
+                for values in (block.level, block.inc, block.lower, block.upper)
             )
-            outcomes.append(
-                KeyOutcome(
-                    key=key, status=status, observed=observed, ma=ma, sd=sd, signal=signal
-                )
-            )
-    return outcomes
+        rows += zip(
+            *map(repeat, (*head, kind)),
+            origin,
+            destination,
+            _STATUS_NAMES[status].tolist(),
+            direction,
+            level,
+            inc,
+            block.observed[hits].tolist(),
+            ma,
+            sd,
+            lower,
+            upper,
+        )
+    return rows
 
 
 def run_window(
@@ -251,9 +225,8 @@ def run_window(
         window=current.window,
         threshold=threshold,
         available=evaluation.available,
-        outcomes=_materialize_outcomes(evaluation, labels, current.window),
+        outcomes=_report_rows(evaluation, labels, source_id, current.window),
         summary=evaluation.summary(),
-        timings=evaluation.timings,
     )
 
 
@@ -309,37 +282,6 @@ def detect_day(
 # -- serialization ------------------------------------------------------
 
 
-def _json_number(value: float | None) -> float | None:
-    # Non-finite increments (flow born from a zero average) have no JSON
-    # representation; level and direction still carry the classification.
-    if value is None or not math.isfinite(value):
-        return None
-    return value
-
-
-def _outcome_row(report: DayReport, window: WindowReport, outcome: KeyOutcome) -> dict:
-    key = outcome.key
-    signal = outcome.signal
-    return {
-        "source": report.source_id,
-        "date": report.date.isoformat(),
-        "start": window.window.start.isoformat(),
-        "end": window.window.end.isoformat(),
-        "kind": key.kind,
-        "origin": key.origin,
-        "destination": key.destination,
-        "status": outcome.status,
-        "direction": signal.direction if signal else None,
-        "level": signal.level if signal else None,
-        "inc_percent": _json_number(signal.inc_percent) if signal else None,
-        "observed": outcome.observed,
-        "ma": _json_number(outcome.ma),
-        "sd": _json_number(outcome.sd),
-        "lower": _json_number(signal.lower_bound) if signal else None,
-        "upper": _json_number(signal.upper_bound) if signal else None,
-    }
-
-
 def _report_header(report: DayReport) -> dict:
     return {
         "record": "header",
@@ -375,34 +317,36 @@ def _report_summary(report: DayReport) -> dict:
     return {"record": "summary", **report.summary()}
 
 
-def iter_outcome_rows(report: DayReport) -> Iterator[dict]:
+def _rows(report: DayReport) -> Iterator[tuple]:
+    # A non-finite increment (a flow born from a zero average) has no JSON
+    # number; it is written as null, or as an empty CSV field. Level and
+    # direction still carry the classification.
     for window in report.window_reports:
-        for outcome in window.outcomes:
-            yield _outcome_row(report, window, outcome)
+        for row in window.outcomes:
+            inc = row[_INC]
+            if inc is not None and not math.isfinite(inc):
+                row = (*row[:_INC], None, *row[_INC + 1 :])
+            yield row
 
 
 def write_day_report_jsonl(report: DayReport, handle: IO[str]) -> None:
     """Header line, one line per non-level0 outcome, one summary line."""
     dump = lambda obj: json.dumps(obj, separators=(",", ":"), allow_nan=False)
     handle.write(dump(_report_header(report)) + "\n")
-    for row in iter_outcome_rows(report):
-        handle.write(dump(row) + "\n")
+    for row in _rows(report):
+        handle.write(dump(dict(zip(REPORT_COLUMNS, row))) + "\n")
     handle.write(dump(_report_summary(report)) + "\n")
 
 
 def write_day_report_csv(report: DayReport, path: str | Path) -> None:
     """Outcome table with the same columns; header and summary go to a
-    ``.meta.json`` sidecar (CSV has no place for them)."""
+    ``.meta.json`` sidecar (CSV has no place for them). Each file is
+    replaced atomically."""
     path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with atomic_open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(REPORT_COLUMNS)
-        for row in iter_outcome_rows(report):
-            writer.writerow(
-                ["" if row[col] is None else row[col] for col in REPORT_COLUMNS]
-            )
+        writer.writerows(_rows(report))
     meta = {"header": _report_header(report), "summary": _report_summary(report)}
-    sidecar = path.with_name(path.name + ".meta.json")
-    sidecar.write_text(
-        json.dumps(meta, separators=(",", ":"), allow_nan=False) + "\n", encoding="utf-8"
-    )
+    with atomic_open(path.with_name(path.name + ".meta.json"), "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(meta, separators=(",", ":"), allow_nan=False) + "\n")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
-from .core import SparseOdm, TimeWindow
+from .core import MAX_COUNT, SparseOdm, TimeWindow
 
 CSV_COLUMNS = ("date", "start", "end", "origin", "destination", "count")
 
@@ -103,6 +103,8 @@ def _parse_count(text: str) -> int:
         raise ValueError(f"bad count {text!r}, expected a nonnegative integer") from None
     if count < 0:
         raise ValueError(f"negative count {count}")
+    if count > MAX_COUNT:
+        raise ValueError(f"count {count} exceeds the int64 limit {MAX_COUNT}")
     return count
 
 

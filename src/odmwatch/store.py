@@ -17,8 +17,11 @@ import json
 import logging
 import os
 import re
+import secrets
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import IO, Iterator
 
 from .core import SparseOdm, TimeWindow
 from .ingestion import CSV_COLUMNS, SourceProfile, iter_csv_rows, parse_rows, records_for
@@ -348,13 +351,35 @@ class HistoryStore:
                 self._day_index(source_id, date).unlink(missing_ok=True)
 
 
+@contextmanager
+def atomic_open(path: Path, mode: str = "w", **kwargs) -> Iterator[IO]:
+    """Open a new, uniquely named temp file beside ``path`` for writing.
+
+    On a clean exit the file is fsynced, renamed over ``path`` and the
+    directory fsynced; on an error it is removed and ``path`` keeps its old
+    bytes. ``mode`` and ``kwargs`` go to ``open``.
+    """
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, mode, **kwargs) as handle:
+            yield handle
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
+
+
 def _atomic_write_bytes(path: Path, payload: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
+    with atomic_open(path, "wb") as handle:
         handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
 
 
 def retention_for(p: int, stride: str) -> int:

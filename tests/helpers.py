@@ -11,7 +11,7 @@ import numpy as np
 
 import dense_oracle
 from odmwatch import DetectorConfig, SparseOdm, TimeWindow, _engine, run_window
-from odmwatch.detector import _DIRECTION_NAMES, _STATUS_NAMES
+from odmwatch.detector import _DIRECTION_NAMES, _STATUS_NAMES, REPORT_COLUMNS
 from odmwatch.store import HistoryQuery, HistorySlice, HistoryStore
 
 BASE_DATE = dt.date(2021, 6, 7)  # a Monday
@@ -61,7 +61,7 @@ def evaluate_cell(history, observed=0, t=None, th=20, mode="clamped"):
         sd=field("sd"),
         lower=field("lower"),
         upper=field("upper"),
-        direction=field("direction", lambda code: _DIRECTION_NAMES.get(int(code))),
+        direction=field("direction", lambda code: _DIRECTION_NAMES[code]),
         level=field("level", int),
         inc=field("inc"),
         available=evaluation.available,
@@ -90,15 +90,27 @@ def report_threshold(current: SparseOdm, th: int = 20, q: float = 0.75):
     return run_window(current, no_history(current.window), config).threshold
 
 
+def row_fields(row: tuple) -> dict:
+    """A report row as {column: value}."""
+    return dict(zip(REPORT_COLUMNS, row))
+
+
+def rows_by_series(report) -> dict:
+    """A window report's rows as {(kind, origin, destination): {column: value}}."""
+    rows = map(row_fields, report.outcomes)
+    return {(r["kind"], r["origin"], r["destination"]): r for r in rows}
+
+
 def series_values(current: SparseOdm, slice_: HistorySlice | None = None) -> dict:
-    """Every monitored series of a window as {FlowKey: (observed, ma)}.
+    """Every monitored series of a window as
+    {(kind, origin, destination): (observed, ma)}.
 
     Runs ``run_window`` with an eligibility threshold no series reaches, so
     that each series is reported; ma is ``None`` when every period is missing.
     """
     slice_ = slice_ or no_history(current.window)
     report = run_window(current, slice_, DetectorConfig(th=2**62))
-    return {o.key: (o.observed, o.ma) for o in report.outcomes}
+    return {key: (r["observed"], r["ma"]) for key, r in rows_by_series(report).items()}
 
 
 def dense_to_sparse(dense: np.ndarray, labels: list[str], window: TimeWindow) -> SparseOdm:
@@ -140,9 +152,9 @@ def compare_report_to_oracle(report, oracle) -> list[str]:
     expected_flagged = {
         k: v for k, v in expected.items() if v["status"] != "no_signal"
     }
-    got = {
-        (o.key.kind, o.key.origin, o.key.destination): o for o in report.outcomes
-    }
+    got = rows_by_series(report)
+    if len(got) != len(report.outcomes):
+        problems.append(f"{len(report.outcomes) - len(got)} duplicate rows")
     if report.summary["keys"] != len(expected):
         problems.append(
             f"universe size {report.summary['keys']} != {len(expected)}"
@@ -157,26 +169,25 @@ def compare_report_to_oracle(report, oracle) -> list[str]:
         if want is None or have is None:
             problems.append(f"{key}: flagged on one side only ({want=}, {have=})")
             continue
-        if have.status != want["status"]:
-            problems.append(f"{key}: status {have.status} != {want['status']}")
+        if have["status"] != want["status"]:
+            problems.append(f"{key}: status {have['status']} != {want['status']}")
             continue
-        if have.observed != want["observed"]:
-            problems.append(f"{key}: observed {have.observed} != {want['observed']}")
+        if have["observed"] != want["observed"]:
+            problems.append(f"{key}: observed {have['observed']} != {want['observed']}")
         if want["status"] == "missing_data":
             continue
-        if have.ma != want["ma"] or have.sd != want["sd"]:
+        if have["ma"] != want["ma"] or have["sd"] != want["sd"]:
             problems.append(f"{key}: ma/sd mismatch")
         if want["status"] != "signal":
             continue
-        s = have.signal
         if (
-            s.direction != want["direction"]
-            or s.level != want["level"]
-            or s.inc_percent != want["inc"]
-            or s.lower_bound != want["lower"]
-            or s.upper_bound != want["upper"]
+            have["direction"] != want["direction"]
+            or have["level"] != want["level"]
+            or have["inc_percent"] != want["inc"]
+            or have["lower"] != want["lower"]
+            or have["upper"] != want["upper"]
         ):
-            problems.append(f"{key}: signal fields mismatch {s} != {want}")
+            problems.append(f"{key}: signal fields mismatch {have} != {want}")
     return problems
 
 

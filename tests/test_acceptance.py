@@ -12,7 +12,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import cell_stats, evaluate_cell, report_threshold, run_store_backed_trial
+from helpers import (
+    cell_stats,
+    evaluate_cell,
+    report_threshold,
+    row_fields,
+    rows_by_series,
+    run_store_backed_trial,
+)
 from odmwatch import (
     DetectorConfig,
     FlowKey,
@@ -242,10 +249,9 @@ def test_injected_anomaly_recall(anomaly_world):
     assert window_report.threshold.t == t
 
     detected = {}
-    for outcome in window_report.outcomes:
-        assert outcome.status == "signal", f"unexpected status {outcome}"
-        key = (outcome.key.kind, outcome.key.origin, outcome.key.destination)
-        detected[key] = (outcome.signal.direction, outcome.signal.level)
+    for key, row in rows_by_series(window_report).items():
+        assert row["status"] == "signal", f"unexpected status {row}"
+        detected[key] = (row["direction"], row["level"])
     assert detected == expected
 
     spike_hits = sum(1 for (kind, o, d) in detected if kind == "cell" and detected[(kind, o, d)][0] == "upper")
@@ -274,9 +280,8 @@ def test_paper_literal_never_emits_lower(anomaly_world):
         lower_totals += totals.get("lower", 0)
         upper_totals += totals.get("upper", 0)
         for window_report in report.window_reports:
-            for outcome in window_report.outcomes:
-                if outcome.signal is not None:
-                    assert outcome.signal.direction != "lower"
+            for row in map(row_fields, window_report.outcomes):
+                assert row["direction"] != "lower"
     assert lower_totals == 0
     assert upper_totals > 0  # the spikes still fire
     ok(

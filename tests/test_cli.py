@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from odmwatch import cli
 from odmwatch.cli import main
 from odmwatch.ingestion import canonical_windows
 
@@ -58,6 +59,20 @@ def test_ingest_unstorable_label_exits_one(tmp_path, capsys):
     code = main(["ingest", str(path), "--source", "mno", "--store-root", str(store_root)])
     assert code == 1
     assert repr("A\rB") in capsys.readouterr().err
+    assert not (store_root / "mno" / f"{MONDAY}.csv").exists()
+
+
+def test_ingest_count_beyond_int64_exits_one(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text(
+        HEADER + "2021-06-07,00:00:00,23:59:59,A,B,100000000000000000000000\n", encoding="utf-8"
+    )
+    store_root = tmp_path / "store"
+    code = main(["ingest", str(path), "--source", "mno", "--store-root", str(store_root)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path.name}:2: ")
+    assert "int64" in err
     assert not (store_root / "mno" / f"{MONDAY}.csv").exists()
 
 
@@ -128,6 +143,43 @@ def test_detect_writes_report(synthetic_store, tmp_path, capsys):
         ("outbound", "A", None),
     }
     assert all(s["direction"] == "upper" and s["level"] == 3 for s in signals)
+
+
+class _FailingRows(list):
+    """Report rows whose iteration fails after the first row, as a full
+    disk would fail a write partway through."""
+
+    def __iter__(self):
+        yield from list.__iter__(self[:1])
+        raise OSError("disk full")
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_failed_report_write_keeps_previous_report(
+    synthetic_store, tmp_path, capsys, monkeypatch, fmt
+):
+    out_dir = tmp_path / "reports"
+    out_dir.mkdir()
+    argv = ["detect", "--source", "mno", "--date", str(MONDAY), "--format", fmt]
+    argv += ["--store-root", str(synthetic_store), "--output", str(out_dir / f"report.{fmt}")]
+    assert main(argv) == 0
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert len(before) == (2 if fmt == "csv" else 1)
+
+    detect_day = cli.detect_day
+
+    def detect_day_failing_write(*args, **kwargs):
+        report = detect_day(*args, **kwargs)
+        for window in report.window_reports:
+            assert window.outcomes
+            window.outcomes = _FailingRows(window.outcomes)
+        return report
+
+    monkeypatch.setattr(cli, "detect_day", detect_day_failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        main(argv)
+    # The old report keeps its bytes and no temp file is left behind.
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
 
 def test_detect_missing_date_exits_three(synthetic_store, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 
 import numpy as np
@@ -17,7 +18,7 @@ def marginals(m: SparseOdm) -> dict:
     return {
         key: observed
         for key, (observed, _) in series_values(m).items()
-        if key.kind != "cell"
+        if key[0] != "cell"
     }
 
 
@@ -34,25 +35,25 @@ def test_cell_value_empty_matrix():
 
 def test_inbound_excludes_diagonal():
     m = SparseOdm(W, {("A", "B"): 10, ("C", "B"): 5, ("B", "B"): 99})
-    assert marginals(m)[FlowKey.inbound("B")] == 15
+    assert marginals(m)[("inbound", None, "B")] == 15
 
 
 def test_inbound_diagonal_only():
-    assert marginals(SparseOdm(W, {("B", "B"): 99}))[FlowKey.inbound("B")] == 0
-    assert marginals(SparseOdm(W, {})).get(FlowKey.inbound("B"), 0) == 0
+    assert marginals(SparseOdm(W, {("B", "B"): 99}))[("inbound", None, "B")] == 0
+    assert marginals(SparseOdm(W, {})).get(("inbound", None, "B"), 0) == 0
 
 
 def test_outbound_excludes_diagonal():
     m = SparseOdm(W, {("A", "B"): 10, ("A", "C"): 5, ("A", "A"): 99})
-    assert marginals(m)[FlowKey.outbound("A")] == 15
-    assert marginals(SparseOdm(W, {("A", "A"): 99}))[FlowKey.outbound("A")] == 0
+    assert marginals(m)[("outbound", "A", None)] == 15
+    assert marginals(SparseOdm(W, {("A", "A"): 99}))[("outbound", "A", None)] == 0
 
 
 def test_all_marginals_single_entry():
     m = SparseOdm(W, {("A", "B"): 10})
     assert marginals(m) == {
-        FlowKey.outbound("A"): 10,
-        FlowKey.inbound("B"): 10,
+        ("outbound", "A", None): 10,
+        ("inbound", None, "B"): 10,
     }
 
 
@@ -65,10 +66,10 @@ def test_all_marginals_diagonal_only_is_empty():
 def test_all_marginals_two_way():
     m = SparseOdm(W, {("A", "B"): 10, ("B", "A"): 4})
     assert marginals(m) == {
-        FlowKey.outbound("A"): 10,
-        FlowKey.inbound("B"): 10,
-        FlowKey.outbound("B"): 4,
-        FlowKey.inbound("A"): 4,
+        ("outbound", "A", None): 10,
+        ("inbound", None, "B"): 10,
+        ("outbound", "B", None): 4,
+        ("inbound", None, "A"): 4,
     }
 
 
@@ -131,8 +132,8 @@ def test_marginals_match_dense_brute_force(data):
     outbound, inbound = dense_oracle.dense_marginals(dense)
     got = marginals(m)
     for i, label in enumerate(labels):
-        assert got.get(FlowKey.inbound(label), 0) == inbound[i]
-        assert got.get(FlowKey.outbound(label), 0) == outbound[i]
+        assert got.get(("inbound", None, label), 0) == inbound[i]
+        assert got.get(("outbound", label, None), 0) == outbound[i]
 
 
 @settings(max_examples=100, deadline=None)
@@ -141,8 +142,8 @@ def test_marginal_mass_balance(data):
     _, m = data
     off_diag = sum(v for (o, d), v in m.entries.items() if o != d)
     got = marginals(m)
-    assert sum(v for key, v in got.items() if key.kind == "inbound") == off_diag
-    assert sum(v for key, v in got.items() if key.kind == "outbound") == off_diag
+    assert sum(v for key, v in got.items() if key[0] == "inbound") == off_diag
+    assert sum(v for key, v in got.items() if key[0] == "outbound") == off_diag
 
 
 def test_public_api_resolves():
@@ -153,3 +154,13 @@ def test_public_api_resolves():
     namespace: dict = {}
     exec("from odmwatch import *", namespace)
     assert set(odmwatch.__all__) <= set(namespace)
+
+    # Report rows are plain tuples; the per-row object layer is gone.
+    from odmwatch import detector
+
+    for name in ("KeyOutcome", "Signal"):
+        assert not hasattr(odmwatch, name), name
+        assert name not in odmwatch.__all__, name
+    for name in ("KeyOutcome", "Signal", "_materialize_outcomes", "_outcome_row", "iter_outcome_rows"):
+        assert not hasattr(detector, name), name
+    assert "timings" not in {f.name for f in dataclasses.fields(detector.WindowReport)}

@@ -12,11 +12,12 @@ from helpers import (
     BASE_DATE,
     dense_to_sparse,
     evaluate_cell,
+    row_fields,
+    rows_by_series,
     run_store_backed_trial,
 )
 from odmwatch import (
     DetectorConfig,
-    FlowKey,
     SparseOdm,
     TimeWindow,
     detect_day,
@@ -144,28 +145,48 @@ def test_single_spike_with_marginals():
     spiked = dict(entries)
     spiked[("A", "B")] = 300
     report = run_window(SparseOdm(W, spiked), history_slice(entries), DetectorConfig())
-    by_key = {(o.key.kind, o.key.origin, o.key.destination): o for o in report.outcomes}
+    by_key = rows_by_series(report)
     assert set(by_key) == {
         ("cell", "A", "B"),
         ("inbound", None, "B"),
         ("outbound", "A", None),
     }
     cell = by_key[("cell", "A", "B")]
-    assert cell.signal.direction == "upper"
-    assert cell.signal.level == 3
-    assert cell.signal.inc_percent == 200.0
+    assert cell["direction"] == "upper"
+    assert cell["level"] == 3
+    assert cell["inc_percent"] == 200.0
+
+
+def test_window_rows_are_plain_tuples():
+    entries = flat_world()
+    entries[("S", "T")] = 5  # below eligibility
+    spiked = dict(entries)
+    spiked[("A", "B")] = 300
+    report = run_window(SparseOdm(W, spiked), history_slice(entries), DetectorConfig())
+    statuses = set()
+    for row in report.outcomes:
+        assert type(row) is tuple and len(row) == len(REPORT_COLUMNS)
+        fields = row_fields(row)
+        statuses.add(fields["status"])
+        assert type(fields["observed"]) is int
+        assert type(fields["ma"]) is float and type(fields["sd"]) is float
+        if fields["status"] == "signal":
+            assert type(fields["level"]) is int
+            for column in ("inc_percent", "lower", "upper"):
+                assert type(fields[column]) is float, column
+    assert statuses == {"signal", "below_eligibility"}
 
 
 def test_vanished_cell_is_lower_signal():
     entries = flat_world()
     gone = {k: v for k, v in entries.items() if k != ("A", "B")}
     report = run_window(SparseOdm(W, gone), history_slice(entries), DetectorConfig())
-    cell = next(o for o in report.outcomes if o.key.kind == "cell")
-    assert cell.key == FlowKey.cell("A", "B")
-    assert cell.observed == 0
-    assert cell.signal.direction == "lower"
-    assert cell.signal.inc_percent == -100.0
-    assert cell.signal.level == 3
+    cell = next(r for r in map(row_fields, report.outcomes) if r["kind"] == "cell")
+    assert (cell["origin"], cell["destination"]) == ("A", "B")
+    assert cell["observed"] == 0
+    assert cell["direction"] == "lower"
+    assert cell["inc_percent"] == -100.0
+    assert cell["level"] == 3
 
 
 def test_all_missing_history_marks_everything():
@@ -173,7 +194,7 @@ def test_all_missing_history_marks_everything():
     slice_ = HistorySlice(weekly_dates(), (None,) * 4)
     report = run_window(SparseOdm(W, entries), slice_, DetectorConfig())
     assert report.summary["missing_data"] == report.summary["keys"]
-    assert all(o.status == "missing_data" for o in report.outcomes)
+    assert all(r["status"] == "missing_data" for r in map(row_fields, report.outcomes))
 
 
 def test_empty_everything_is_empty_report():
@@ -187,7 +208,8 @@ def test_output_ordering_kind_then_labels():
     entries = flat_world()
     slice_ = HistorySlice(weekly_dates(), (None,) * 4)  # everything flagged
     report = run_window(SparseOdm(W, entries), slice_, DetectorConfig())
-    keys = [(o.key.kind, o.key.origin or "", o.key.destination or "") for o in report.outcomes]
+    rows = map(row_fields, report.outcomes)
+    keys = [(r["kind"], r["origin"] or "", r["destination"] or "") for r in rows]
     assert keys == sorted(keys)
 
 

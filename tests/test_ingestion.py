@@ -5,9 +5,12 @@ import io
 import pytest
 
 from odmwatch import (
+    HistoryStore,
     OdmIntegrityError,
     OdmParseError,
     SourceProfile,
+    SparseOdm,
+    TimeWindow,
     parse_file,
     validate_day,
 )
@@ -58,6 +61,37 @@ def test_negative_count_names_line(tmp_path):
     with pytest.raises(OdmParseError) as err:
         parse_file(path)
     assert err.value.line_no == 3
+
+
+def test_count_beyond_int64_names_line(tmp_path):
+    path = write(
+        tmp_path,
+        HEADER
+        + f"2021-06-07,00:00:00,23:59:59,A,B,{2**63 - 1}\n"
+        + f"2021-06-07,00:00:00,23:59:59,B,C,{2**63}\n",
+    )
+    with pytest.raises(OdmParseError) as err:
+        parse_file(path)
+    assert err.value.line_no == 3
+    assert str(err.value).startswith(f"{path.name}:3: ")
+    assert "int64" in str(err.value)
+
+
+def test_count_at_int64_limit_accepted(tmp_path):
+    path = write(tmp_path, HEADER + f"2021-06-07,00:00:00,23:59:59,A,B,{2**63 - 1}\n")
+    (matrix,) = parse_file(path)
+    assert matrix.cell_value("A", "B") == 2**63 - 1
+
+
+def test_snapshot_refuses_count_beyond_int64(tmp_path):
+    window = TimeWindow.full_day(dt.date(2021, 6, 7))
+    with pytest.raises(ValueError, match="int64"):
+        SparseOdm(window, {("A", "B"): 2**63})
+    # So the store is never handed one to write.
+    store = HistoryStore(tmp_path / "store", retention_days=None)
+    with pytest.raises(ValueError, match="int64"):
+        store.put_snapshot("src", SparseOdm(window, [(("A", "B"), 1), (("B", "C"), 2**64)]))
+    assert store.dates_for("src") == []
 
 
 @pytest.mark.parametrize(
