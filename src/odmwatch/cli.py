@@ -162,11 +162,15 @@ def cmd_detect(args: argparse.Namespace) -> int:
         return EXIT_ERROR
 
     output = Path(config.output)
-    if config.format == "csv":
-        write_day_report_csv(report, output)
-    else:
-        with atomic_open(output, "w", encoding="utf-8", newline="") as handle:
-            write_day_report_jsonl(report, handle)
+    try:
+        if config.format == "csv":
+            write_day_report_csv(report, output)
+        else:
+            with atomic_open(output, "w", encoding="utf-8", newline="") as handle:
+                write_day_report_jsonl(report, handle)
+    except OSError as exc:
+        print(f"error: cannot write report {output}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_ERROR
 
     totals = report.summary()
     print(

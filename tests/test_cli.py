@@ -150,7 +150,7 @@ class _FailingRows(list):
     disk would fail a write partway through."""
 
     def __iter__(self):
-        yield from list.__iter__(self[:1])
+        yield from self[:1]  # a slice is a plain list
         raise OSError("disk full")
 
 
@@ -161,7 +161,8 @@ def test_failed_report_write_keeps_previous_report(
     out_dir = tmp_path / "reports"
     out_dir.mkdir()
     argv = ["detect", "--source", "mno", "--date", str(MONDAY), "--format", fmt]
-    argv += ["--store-root", str(synthetic_store), "--output", str(out_dir / f"report.{fmt}")]
+    report = out_dir / f"report.{fmt}"
+    argv += ["--store-root", str(synthetic_store), "--output", str(report)]
     assert main(argv) == 0
     before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
     assert len(before) == (2 if fmt == "csv" else 1)
@@ -169,17 +170,27 @@ def test_failed_report_write_keeps_previous_report(
     detect_day = cli.detect_day
 
     def detect_day_failing_write(*args, **kwargs):
-        report = detect_day(*args, **kwargs)
-        for window in report.window_reports:
+        day = detect_day(*args, **kwargs)
+        for window in day.window_reports:
             assert window.outcomes
             window.outcomes = _FailingRows(window.outcomes)
-        return report
+        return day
 
     monkeypatch.setattr(cli, "detect_day", detect_day_failing_write)
-    with pytest.raises(OSError, match="disk full"):
-        main(argv)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: cannot write report {report}: disk full\n"
     # The old report keeps its bytes and no temp file is left behind.
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
+def test_detect_unwritable_output_exits_one(synthetic_store, tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "report.jsonl"
+    argv = ["detect", "--source", "mno", "--date", str(MONDAY)]
+    assert main(argv + ["--store-root", str(synthetic_store), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write report {out}: No such file or directory\n"
+    assert not out.parent.exists()
 
 
 def test_detect_missing_date_exits_three(synthetic_store, tmp_path, capsys):
