@@ -58,19 +58,20 @@ class Columnar:
     values: np.ndarray
 
 
-def columnar_from_entries(
-    entries, label_ids: dict[str, int], n_areas: int
-) -> Columnar:
-    """Encode a label-keyed sparse mapping with a shared label index."""
-    n = len(entries)
-    codes = np.empty(n, dtype=np.int64)
-    values = np.empty(n, dtype=np.int64)
-    a = n_areas
-    for i, ((origin, destination), count) in enumerate(entries.items()):
-        codes[i] = label_ids[origin] * a + label_ids[destination]
-        values[i] = count
-    order = np.argsort(codes, kind="stable")
-    return Columnar(codes[order], values[order])
+def columnar_from_entries(matrix, ranks: np.ndarray, n_areas: int) -> Columnar:
+    """Re-encode a matrix's codes and counts over its ``len(ranks)`` labels
+    onto ``n_areas`` labels, its label i becoming ``ranks[i]``. Increasing
+    ranks keep the codes sorted."""
+    origins, dests = np.divmod(matrix.codes, max(1, len(ranks)))
+    return Columnar(ranks[origins] * n_areas + ranks[dests], matrix.counts)
+
+
+class EngineLimitError(ValueError):
+    """A value too large for exact int64 sums, in ``period`` (0 = current)."""
+
+    def __init__(self, message: str, period: int) -> None:
+        super().__init__(message)
+        self.period = period
 
 
 @dataclass
@@ -114,37 +115,26 @@ class WindowEvaluation:
         ]
 
     def summary(self) -> dict[str, int]:
-        counts = {
-            "keys": 0,
-            "no_signal": 0,
-            "signal": 0,
-            "below_eligibility": 0,
-            "missing_data": 0,
-            "upper": 0,
-            "lower": 0,
-            "level1": 0,
-            "level2": 0,
-            "level3": 0,
+        """Series counts: all, by status, by signal direction, by signal level."""
+        blocks = [block for _, _, block in self.blocks()]
+        scored = [block for block in blocks if block.direction is not None]
+        none = [np.zeros(0, dtype=np.int8)]
+        status = np.bincount(np.concatenate([b.status for b in blocks]), minlength=4)
+        direction = np.bincount(np.concatenate(none + [b.direction for b in scored]), minlength=3)
+        signal_levels = [b.level[b.status == STATUS_SIGNAL] for b in scored]
+        level = np.bincount(np.concatenate(none + signal_levels), minlength=4)
+        return {
+            "keys": sum(map(len, blocks)),
+            "no_signal": int(status[STATUS_NO_SIGNAL]),
+            "signal": int(status[STATUS_SIGNAL]),
+            "below_eligibility": int(status[STATUS_BELOW_ELIGIBILITY]),
+            "missing_data": int(status[STATUS_MISSING_DATA]),
+            "upper": int(direction[DIR_UPPER]),
+            "lower": int(direction[DIR_LOWER]),
+            "level1": int(level[1]),
+            "level2": int(level[2]),
+            "level3": int(level[3]),
         }
-        for _, _, block in self.blocks():
-            counts["keys"] += len(block)
-            status = block.status
-            counts["no_signal"] += int(np.count_nonzero(status == STATUS_NO_SIGNAL))
-            counts["signal"] += int(np.count_nonzero(status == STATUS_SIGNAL))
-            counts["below_eligibility"] += int(
-                np.count_nonzero(status == STATUS_BELOW_ELIGIBILITY)
-            )
-            counts["missing_data"] += int(np.count_nonzero(status == STATUS_MISSING_DATA))
-            if block.direction is not None:
-                counts["upper"] += int(np.count_nonzero(block.direction == DIR_UPPER))
-                counts["lower"] += int(np.count_nonzero(block.direction == DIR_LOWER))
-            if block.level is not None:
-                signal = status == STATUS_SIGNAL
-                for lvl in (1, 2, 3):
-                    counts[f"level{lvl}"] += int(
-                        np.count_nonzero(signal & (block.level == lvl))
-                    )
-        return counts
 
 
 def nearest_rank(q: float, n: int) -> int:
@@ -166,11 +156,12 @@ def _value_cap(periods: int) -> int:
     return math.isqrt((2**63 - 1) // max(1, periods))
 
 
-def _check_cap(values: np.ndarray, cap: int, what: str) -> None:
+def _check_cap(values: np.ndarray, cap: int, what: str, period: int) -> None:
     if len(values) and int(values.max()) > cap:
-        raise ValueError(
+        raise EngineLimitError(
             f"{what} value {int(values.max())} exceeds the vectorized engine "
-            f"limit of {cap}; counts this large are not supported"
+            f"limit of {cap}; counts this large are not supported",
+            period,
         )
 
 
@@ -232,13 +223,12 @@ def evaluate_window(
     avail = [h for h in history if h is not None]
     n = len(avail)
     cap = _value_cap(n)
-    _check_cap(current.values, cap, "cell")
-    for h in avail:
-        _check_cap(h.values, cap, "cell")
+    periods = [current] + avail
+    for k, mat in enumerate(periods):
+        _check_cap(mat.values, cap, "cell", k)
 
     # Each code array is sorted, so the stable sort only merges runs. Its
     # permutation also carries every period's positions in the union.
-    periods = [current] + avail
     codes = np.concatenate([mat.codes for mat in periods])
     order = np.argsort(codes, kind="stable")
     merged = codes[order]
@@ -284,15 +274,15 @@ def evaluate_window(
         for k in range(1, n + 1):
             dense = align(k)
             out_sums, in_sums = marginal_sums(dense)
-            _check_cap(out_sums, cap, "outbound marginal")
-            _check_cap(in_sums, cap, "inbound marginal")
+            _check_cap(out_sums, cap, "outbound marginal", k)
+            _check_cap(in_sums, cap, "inbound marginal", k)
             if moments:
                 for acc, values in zip(moments, (dense, out_sums, in_sums)):
                     acc.add(values)
             else:
                 moments = [_Moments(values) for values in (dense, out_sums, in_sums)]
-        _check_cap(obs_out, cap, "outbound marginal")
-        _check_cap(obs_in, cap, "inbound marginal")
+        _check_cap(obs_out, cap, "outbound marginal", 0)
+        _check_cap(obs_in, cap, "inbound marginal", 0)
         cell_stats, marg_out_stats, marg_in_stats = (acc.finish(n) for acc in moments)
     timings["stats"] = time.perf_counter() - t0
 

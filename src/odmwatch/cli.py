@@ -75,7 +75,12 @@ _CONFIG_PARSERS = {
 def load_config_file(path: Path) -> dict:
     """Flat key=value config file; # starts a comment."""
     values: dict = {}
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ValueError(f"cannot read config {path}: {reason}") from None
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

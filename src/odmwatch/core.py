@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 # Area labels are opaque strings; the label set is discovered from data.
 AreaId = str
@@ -88,31 +89,33 @@ class FlowKey:
         return cls("outbound", origin=origin)
 
 
-def _validate_label(label: AreaId) -> None:
-    if not isinstance(label, str) or not label:
-        raise ValueError(f"area label must be a non-empty string, got {label!r}")
-
-
 class SparseOdm:
-    """Immutable sparse ODM snapshot for one time window.
+    """Immutable sparse ODM snapshot for one time window, in columnar form.
 
-    Counts are nonnegative integers; zero counts are dropped on
-    construction so that "absent" and "zero" stay interchangeable.
+    ``labels`` is the sorted tuple of the areas of the nonzero cells.
+    ``codes`` holds one strictly increasing int64 code per nonzero cell,
+    ``origin_rank * len(labels) + destination_rank``, and ``counts`` the
+    matching int64 counts, all > 0. Both arrays are read-only. Zero counts
+    are dropped on construction, so "absent" and "zero" stay interchangeable.
     """
 
-    __slots__ = ("window", "_entries")
+    __slots__ = ("window", "labels", "codes", "counts")
 
     def __init__(
         self,
         window: TimeWindow,
-        entries: Mapping[tuple[AreaId, AreaId], int] | Iterable[tuple[tuple[AreaId, AreaId], int]],
+        cells: Mapping[tuple[AreaId, AreaId], int] | Iterable[tuple[tuple[AreaId, AreaId], int]],
     ) -> None:
-        self.window = window
-        items = entries.items() if isinstance(entries, Mapping) else entries
-        store: dict[tuple[AreaId, AreaId], int] = {}
+        items = cells.items() if isinstance(cells, Mapping) else cells
+        ids: dict[AreaId, int] = {}
+        seen: set[tuple[AreaId, AreaId]] = set()
+        origins: list[int] = []
+        dests: list[int] = []
+        counts: list[int] = []
         for (origin, destination), count in items:
-            _validate_label(origin)
-            _validate_label(destination)
+            for label in (origin, destination):
+                if not isinstance(label, str) or not label:
+                    raise ValueError(f"area label must be a non-empty string, got {label!r}")
             if isinstance(count, bool) or not isinstance(count, int):
                 raise ValueError(f"count for ({origin}, {destination}) must be an integer")
             if count < 0:
@@ -122,38 +125,58 @@ class SparseOdm:
                     f"count {count} for ({origin}, {destination}) exceeds the int64 "
                     f"limit {MAX_COUNT}"
                 )
-            if (origin, destination) in store:
+            if (origin, destination) in seen:
                 raise ValueError(f"duplicate cell ({origin}, {destination})")
             if count > 0:
-                store[(origin, destination)] = count
-        self._entries = store
+                seen.add((origin, destination))
+                origins.append(ids.setdefault(origin, len(ids)))
+                dests.append(ids.setdefault(destination, len(ids)))
+                counts.append(count)
+        self._build(window, list(ids), origins, dests, counts)
 
-    @property
-    def entries(self) -> Mapping[tuple[AreaId, AreaId], int]:
-        return MappingProxyType(self._entries)
+    @classmethod
+    def from_ids(cls, window: TimeWindow, names: Sequence[AreaId], origins, dests, counts):
+        """Build from checked cells: ``names[i]`` labels id i; each cell has origin
+        and destination ids, a count > 0 and a unique pair. Unused ids are dropped."""
+        matrix = object.__new__(cls)
+        matrix._build(window, names, origins, dests, counts)
+        return matrix
+
+    def _build(self, window, names, origins, dests, counts) -> None:
+        origins = np.asarray(origins, dtype=np.int64)
+        dests = np.asarray(dests, dtype=np.int64)
+        present = np.zeros(len(names), dtype=bool)
+        present[origins] = present[dests] = True
+        used = sorted(np.flatnonzero(present).tolist(), key=names.__getitem__)
+        rank = np.zeros(len(names), dtype=np.int64)
+        rank[used] = np.arange(len(used))
+        codes = rank[origins] * len(used) + rank[dests]
+        order = np.argsort(codes)
+        self.window = window
+        self.labels = tuple(names[i] for i in used)
+        self.codes = codes[order]
+        self.counts = np.asarray(counts, dtype=np.int64)[order]
+        self.codes.flags.writeable = self.counts.flags.writeable = False
+
+    def cells(self) -> Iterator[tuple[tuple[AreaId, AreaId], int]]:
+        """``((origin, destination), count)`` per nonzero cell, pairs in sorted order."""
+        labels = self.labels
+        origins, dests = np.divmod(self.codes, max(1, len(labels)))
+        for o, d, count in zip(origins.tolist(), dests.tolist(), self.counts.tolist()):
+            yield (labels[o], labels[d]), count
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.codes)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseOdm):
             return NotImplemented
-        return self.window == other.window and self._entries == other._entries
+        return (
+            self.window == other.window
+            and self.labels == other.labels
+            and np.array_equal(self.codes, other.codes)
+            and np.array_equal(self.counts, other.counts)
+        )
 
     def __repr__(self) -> str:
         return f"SparseOdm({self.window.date} {self.window.times_key()}, {len(self)} cells)"
-
-    def cell_value(self, origin: AreaId, destination: AreaId) -> int:
-        """Stored count for (origin, destination), 0 when absent."""
-        return self._entries.get((origin, destination), 0)
-
-    def mass(self) -> int:
-        """Sum of all stored counts, diagonal included."""
-        return sum(self._entries.values())
-
-    def areas(self) -> set[AreaId]:
-        out: set[AreaId] = set()
-        for o, d in self._entries:
-            out.add(o)
-            out.add(d)
-        return out

@@ -196,23 +196,27 @@ def run_window(
     marginal of every destination in that union. Output ordering is fixed:
     cells, then inbound, then outbound, each sorted by area labels.
     """
-    labels = sorted(current.areas().union(*(m.areas() for m in slice_.available_snapshots())))
+    present = [(current.window.date, current)] + [
+        (date, m) for date, m in zip(slice_.dates, slice_.slots) if m is not None
+    ]
+    labels = sorted(set().union(*(m.labels for _, m in present)))
     label_ids = {label: i for i, label in enumerate(labels)}
     n_areas = max(1, len(labels))
-
-    current_cols = _engine.columnar_from_entries(current.entries, label_ids, n_areas)
-    history_cols = [
-        _engine.columnar_from_entries(m.entries, label_ids, n_areas) if m is not None else None
-        for m in slice_.slots
+    columns = [
+        _engine.columnar_from_entries(
+            m, np.array([label_ids[x] for x in m.labels], dtype=np.int64), n_areas
+        )
+        for _, m in present
     ]
-    evaluation = _engine.evaluate_window(
-        current_cols,
-        history_cols,
-        n_areas,
-        config.th,
-        config.quantile,
-        config.bounds_mode,
-    )
+    try:
+        evaluation = _engine.evaluate_window(
+            columns[0], columns[1:], n_areas, config.th, config.quantile, config.bounds_mode
+        )
+    except _engine.EngineLimitError as exc:
+        raise ValueError(
+            f"source {source_id!r}, window {current.window.times_key()}, "
+            f"period {present[exc.period][0]}: {exc}"
+        ) from None
     threshold = ThresholdSet(
         th=config.th,
         q=config.quantile,

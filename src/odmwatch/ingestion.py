@@ -12,7 +12,7 @@ import datetime as dt
 import gzip
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -70,16 +70,8 @@ class DayValidationReport:
         return not self.missing_windows and not self.extra_windows
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "source_id": self.source_id,
-                "date": self.date.isoformat(),
-                "missing_windows": self.missing_windows,
-                "extra_windows": self.extra_windows,
-                "total_volume": self.total_volume,
-            },
-            separators=(",", ":"),
-        )
+        fields = {**asdict(self), "date": self.date.isoformat()}
+        return json.dumps(fields, separators=(",", ":"))
 
 
 def _parse_date(text: str) -> dt.date:
@@ -120,11 +112,11 @@ def parse_rows(rows: Iterable[tuple[int, Sequence[str]]], source: str) -> list[S
     Empty rows are skipped and zero-count rows dropped (absent and zero are
     equivalent).
     """
-    # Each triple maps to its window's (window, cells, first line per cell);
-    # triples that parse to the same window share them. None marks a triple
-    # whose start does not precede its end.
-    slots: dict[tuple[str, str, str], tuple[TimeWindow, dict, dict] | None] = {}
-    by_window: dict[TimeWindow, tuple[TimeWindow, dict, dict]] = {}
+    # Each triple maps to its window's slot (window, first line per cell,
+    # first-seen label ids, origin ids, destination ids, counts), shared by
+    # triples of one window; None marks a start that does not precede its end.
+    slots: dict[tuple[str, str, str], tuple | None] = {}
+    by_window: dict[TimeWindow, tuple] = {}
     n_fields = len(CSV_COLUMNS)
     for line_no, row in rows:
         if not row:
@@ -145,7 +137,7 @@ def parse_rows(rows: Iterable[tuple[int, Sequence[str]]], source: str) -> list[S
                 slot = None
                 if start < end:
                     window = TimeWindow(date, start, end)
-                    slot = by_window.setdefault(window, (window, {}, {}))
+                    slot = by_window.setdefault(window, (window, {}, {}, [], [], []))
                 slots[triple] = slot
             count = _parse_count(count_s)
             if not origin or not destination:
@@ -154,7 +146,7 @@ def parse_rows(rows: Iterable[tuple[int, Sequence[str]]], source: str) -> list[S
                 raise ValueError(f"window start {start_s} must precede end {end_s}")
         except ValueError as exc:
             raise OdmParseError(source, line_no, str(exc)) from None
-        window, cells, lines = slot
+        window, lines, ids, origins, dests, counts = slot
         pair = (origin, destination)
         if pair in lines:
             raise OdmIntegrityError(
@@ -165,11 +157,13 @@ def parse_rows(rows: Iterable[tuple[int, Sequence[str]]], source: str) -> list[S
             )
         lines[pair] = line_no
         if count > 0:
-            cells[pair] = count
+            origins.append(ids.setdefault(origin, len(ids)))
+            dests.append(ids.setdefault(destination, len(ids)))
+            counts.append(count)
     return [
-        SparseOdm(window, cells)
-        for window, cells, _ in sorted(
-            by_window.values(), key=lambda slot: (slot[0].date, slot[0].start, slot[0].end)
+        SparseOdm.from_ids(window, list(ids), origins, dests, counts)
+        for window, _, ids, origins, dests, counts in sorted(
+            by_window.values(), key=lambda slot: slot[0]
         )
     ]
 
@@ -212,24 +206,15 @@ def records_for(snapshot: SparseOdm) -> Iterator[tuple[str, str, str, str, str, 
     date_s = w.date.isoformat()
     start_s = w.start.isoformat()
     end_s = w.end.isoformat()
-    for (origin, destination) in sorted(snapshot.entries):
-        yield (
-            date_s,
-            start_s,
-            end_s,
-            origin,
-            destination,
-            str(snapshot.entries[(origin, destination)]),
-        )
+    for (origin, destination), count in snapshot.cells():
+        yield (date_s, start_s, end_s, origin, destination, str(count))
 
 
 def write_snapshots_csv(snapshots: Sequence[SparseOdm], handle: IO[str]) -> None:
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    ordered = sorted(snapshots, key=lambda m: (m.window.date, m.window.start, m.window.end))
-    for snapshot in ordered:
-        for row in records_for(snapshot):
-            writer.writerow(row)
+    for snapshot in sorted(snapshots, key=lambda m: m.window):
+        writer.writerows(records_for(snapshot))
 
 
 def canonical_windows(date: dt.date, per_day: int) -> list[TimeWindow]:
@@ -281,5 +266,6 @@ def validate_day(
         date=date,
         missing_windows=missing,
         extra_windows=extra,
-        total_volume=sum(m.mass() for m in snapshots),
+        # Python ints: an int64 sum of the counts could wrap.
+        total_volume=sum(sum(m.counts.tolist()) for m in snapshots),
     )

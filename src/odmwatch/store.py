@@ -71,9 +71,6 @@ class HistorySlice:
     def available(self) -> int:
         return sum(1 for s in self.slots if s is not None)
 
-    def available_snapshots(self) -> list[SparseOdm]:
-        return [s for s in self.slots if s is not None]
-
 
 class StoreError(OSError):
     """Storage-level failure (unreadable or unwritable files)."""
@@ -149,7 +146,7 @@ class HistoryStore:
         whitespace, and the writer leaves a lone carriage return unquoted.
         """
         date = snapshot.window.date
-        for label in {label for pair in snapshot.entries for label in pair}:
+        for label in snapshot.labels:
             if label != label.strip() or "\r" in label:
                 raise ValueError(
                     f"cannot store {source_id}/{date}: area label {label!r} has "
@@ -279,8 +276,7 @@ class HistoryStore:
         for m in matrices:
             buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
-            for row in records_for(m):
-                writer.writerow(row)
+            writer.writerows(records_for(m))
             block = buf.getvalue().encode("utf-8")
             blocks.append(block)
             index_windows.append(

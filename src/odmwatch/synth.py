@@ -121,14 +121,11 @@ def _choose_cells(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _anomaly_mask(
-    anomaly: AnomalySpec, codes: np.ndarray, n_areas: int, label_ids: dict[str, int]
+    anomaly: AnomalySpec, origins: np.ndarray, dests: np.ndarray, label_ids: dict[str, int]
 ) -> np.ndarray:
-    origins = codes // n_areas
-    dests = codes - origins * n_areas
     key = anomaly.key
     if key.kind == "cell":
-        code = label_ids[key.origin] * n_areas + label_ids[key.destination]
-        return codes == code
+        return (origins == label_ids[key.origin]) & (dests == label_ids[key.destination])
     if key.kind == "inbound":
         j = label_ids[key.destination]
         return (dests == j) & (origins != j)
@@ -177,7 +174,7 @@ def generate(
             raise SynthSpecError(
                 f"anomaly on {w.date} falls inside the {warmup_days}-day warm-up"
             )
-        mask = _anomaly_mask(anomaly, codes, spec.n_areas, label_ids)
+        mask = _anomaly_mask(anomaly, origins, dests, label_ids)
         if not mask.any():
             raise SynthSpecError(f"anomaly target {anomaly.key} has no generated cells")
 
@@ -200,16 +197,14 @@ def generate(
             for anomaly in spec.anomalies:
                 if anomaly.window != window:
                     continue
-                mask = _anomaly_mask(anomaly, codes, spec.n_areas, label_ids)
+                mask = _anomaly_mask(anomaly, origins, dests, label_ids)
                 counts[mask] = np.rint(
                     counts[mask].astype(np.float64) * anomaly.magnitude
                 ).astype(np.int64)
-            entries = {
-                (labels[origins[i]], labels[dests[i]]): int(counts[i])
-                for i in range(len(codes))
-                if counts[i] > 0
-            }
-            snapshots.append(SparseOdm(window, entries))
+            keep = counts > 0
+            snapshots.append(
+                SparseOdm.from_ids(window, labels, origins[keep], dests[keep], counts[keep])
+            )
 
     for anomaly in spec.anomalies:
         ground_truth.append(

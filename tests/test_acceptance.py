@@ -150,7 +150,7 @@ def anomaly_world(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("anomaly-world")
     clean, _ = generate(synth_spec(), MONDAY, days=29, warmup_days=28)
     clean_day = next(m for m in clean if m.window.date == TARGET)
-    baselines = dict(clean_day.entries)
+    baselines = dict(clean_day.cells())
 
     # Highest baselines make drops detectable past the day's quantile; all
     # chosen baselines sit far above 2*th.

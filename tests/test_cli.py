@@ -76,6 +76,45 @@ def test_ingest_count_beyond_int64_exits_one(tmp_path, capsys):
     assert not (store_root / "mno" / f"{MONDAY}.csv").exists()
 
 
+def test_detect_count_beyond_engine_limit_names_period(tmp_path, capsys):
+    # 5e9 is within int64, so ingest keeps it, but above what the engine can
+    # square exactly; detect must fail naming where the value is stored.
+    store_root = tmp_path / "store"
+    history = MONDAY - dt.timedelta(days=7)
+    for date, count in ((history, 5_000_000_000), (MONDAY, 10)):
+        path = tmp_path / f"{date}.csv"
+        path.write_text(HEADER + f"{date},00:00:00,23:59:59,A,B,{count}\n", encoding="utf-8")
+        assert main(["ingest", str(path), "--source", "mno", "--store-root", str(store_root)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "r.jsonl"
+    argv = ["detect", "--source", "mno", "--date", str(MONDAY), "--store-root", str(store_root)]
+    assert main(argv + ["--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: source 'mno', window 00:00:00-23:59:59, ")
+    assert f"period {history}: cell value 5000000000 exceeds" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ingest", "in.csv", "--source", "mno"],
+        ["detect", "--source", "mno", "--date", str(MONDAY)],
+    ],
+    ids=["ingest", "detect"],
+)
+def test_missing_config_exits_one(tmp_path, capsys, argv):
+    day_csv(tmp_path, MONDAY, name="in.csv")
+    argv = [str(tmp_path / a) if a == "in.csv" else a for a in argv]
+    config = tmp_path / "no" / "such.cfg"
+    store_root = tmp_path / "store"
+    code = main(argv + ["--store-root", str(store_root), "--config", str(config)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read config {config}: ")
+    assert not store_root.exists()
+
+
 def test_ingest_missing_window_exits_two(tmp_path, capsys):
     windows = canonical_windows(MONDAY, 24)[:-1]
     rows = [
@@ -329,7 +368,7 @@ def first_generated_pair(n_areas, density, base_volume, seed):
 
     spec = SynthSpec(n_areas=n_areas, density=density, base_volume=base_volume, seed=seed)
     snapshots, _ = generate(spec, MONDAY, days=1, warmup_days=0)
-    return sorted(snapshots[0].entries)[0]
+    return sorted(dict(snapshots[0].cells()))[0]
 
 
 def test_generate_command(tmp_path, capsys):

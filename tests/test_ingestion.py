@@ -35,7 +35,7 @@ def test_single_window_grouping(tmp_path):
     matrices = parse_file(path)
     assert len(matrices) == 1
     assert len(matrices[0]) == 3
-    assert matrices[0].cell_value("A", "B") == 10
+    assert dict(matrices[0].cells())[("A", "B")] == 10
 
 
 def test_two_windows_same_date(tmp_path):
@@ -47,7 +47,7 @@ def test_two_windows_same_date(tmp_path):
     )
     matrices = parse_file(path)
     assert len(matrices) == 2
-    assert [m.cell_value("A", "B") for m in matrices] == [10, 20]
+    assert [dict(m.cells())[("A", "B")] for m in matrices] == [10, 20]
 
 
 def test_negative_count_names_line(tmp_path):
@@ -154,7 +154,7 @@ def test_gzip_variant(tmp_path):
     with gzip.open(path, "wb") as handle:
         handle.write(payload.encode("utf-8"))
     matrices = parse_file(path)
-    assert matrices[0].cell_value("A", "B") == 10
+    assert dict(matrices[0].cells())[("A", "B")] == 10
 
 
 def test_round_trip_preserves_matrices(tmp_path):
@@ -180,7 +180,16 @@ def test_mass_conservation(tmp_path):
     ]
     text = HEADER + "".join(",".join(map(str, r)) + "\n" for r in rows)
     matrices = parse_file(write(tmp_path, text))
-    assert sum(m.mass() for m in matrices) == sum(r[5] for r in rows)
+    assert sum(v for m in matrices for _, v in m.cells()) == sum(r[5] for r in rows)
+
+
+def test_total_volume_is_exact_beyond_int64(tmp_path):
+    # 2**62 + 2**62 wraps to -2**63 in an int64 sum.
+    rows = [f"2021-06-07,00:00:00,23:59:59,{o},{d},{2**62}\n" for o, d in (("A", "B"), ("B", "A"))]
+    matrices = parse_file(write(tmp_path, HEADER + "".join(rows)))
+    report = validate_day(matrices, SourceProfile("mno"), dt.date(2021, 6, 7))
+    assert report.total_volume == 2**63
+    assert '"total_volume":9223372036854775808' in report.to_json()
 
 
 def test_canonical_windows_hourly():
@@ -247,7 +256,7 @@ def test_time_spellings_share_one_window(tmp_path):
     )
     (matrix,) = parse_file(path)
     assert matrix.window.start == dt.time(1, 0, 0)
-    assert matrix.entries == {("A", "B"): 10, ("B", "C"): 5}
+    assert dict(matrix.cells()) == {("A", "B"): 10, ("B", "C"): 5}
 
 
 def test_duplicate_cell_across_time_spellings(tmp_path):

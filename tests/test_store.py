@@ -2,13 +2,14 @@ import datetime as dt
 import json
 import logging
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from odmwatch import HistoryQuery, HistoryStore, SparseOdm, TimeWindow
 from odmwatch import store as store_module
-from odmwatch.ingestion import SourceProfile
+from odmwatch.ingestion import SourceProfile, parse_rows
 from odmwatch.store import StoreError, retention_for
 
 MONDAY = dt.date(2021, 6, 7)
@@ -37,7 +38,7 @@ def test_overwrite_keeps_second_value(store):
     w = TimeWindow.full_day(MONDAY)
     store.put_snapshot("src", SparseOdm(w, {("A", "B"): 1}))
     store.put_snapshot("src", SparseOdm(w, {("A", "B"): 2}))
-    assert store.get_snapshot("src", w).cell_value("A", "B") == 2
+    assert dict(store.get_snapshot("src", w).cells()) == {("A", "B"): 2}
 
 
 def test_unknown_key_is_missing(store):
@@ -69,7 +70,7 @@ def test_fetch_history_weekly_complete(store):
     slice_ = store.fetch_history(HistoryQuery("src", m.window, p=4, stride="weekly"))
     assert slice_.p == 4
     assert slice_.available == 4
-    assert [s.cell_value("A", "B") for s in slice_.slots] == [1, 2, 3, 4]
+    assert [dict(s.cells())[("A", "B")] for s in slice_.slots] == [1, 2, 3, 4]
     assert all(d.weekday() == MONDAY.weekday() for d in slice_.dates)
 
 
@@ -95,7 +96,7 @@ def test_fetch_history_daily_stride(store):
     for k in range(1, 4):
         store.put_snapshot("src", snap(MONDAY - dt.timedelta(days=k), {("A", "B"): k}))
     slice_ = store.fetch_history(HistoryQuery("src", m.window, p=3, stride="daily"))
-    assert [s.cell_value("A", "B") for s in slice_.slots] == [1, 2, 3]
+    assert [dict(s.cells())[("A", "B")] for s in slice_.slots] == [1, 2, 3]
     assert slice_.dates == tuple(MONDAY - dt.timedelta(days=k) for k in (1, 2, 3))
 
 
@@ -221,6 +222,17 @@ LABEL_CHARS = st.one_of(
 )
 
 
+def assert_columnar(m, cells):
+    """``m`` holds exactly the nonzero ``cells``, in the columnar form."""
+    nonzero = {pair: count for pair, count in cells.items() if count > 0}
+    assert m.labels == tuple(sorted({label for pair in nonzero for label in pair}))
+    assert m.codes.dtype == np.int64 and m.counts.dtype == np.int64
+    assert not m.codes.flags.writeable and not m.counts.flags.writeable
+    assert (np.diff(m.codes) > 0).all()
+    assert (m.counts > 0).all()
+    assert dict(m.cells()) == nonzero
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     cells=st.dictionaries(
@@ -228,7 +240,7 @@ LABEL_CHARS = st.one_of(
             st.text(LABEL_CHARS, min_size=1, max_size=6),
             st.text(LABEL_CHARS, min_size=1, max_size=6),
         ),
-        st.integers(min_value=1, max_value=10**12),
+        st.integers(min_value=0, max_value=10**12),
         max_size=8,
     )
 )
@@ -236,20 +248,36 @@ LABEL_CHARS = st.one_of(
 @example(cells={("A ", "B"): 1})
 @example(cells={("A\rB", "C"): 1})
 @example(cells={('x,"y"', "line\nbreak"): 3, ("東京", "é"): 4})
+@example(cells={(" A", "B"): 0, ("C", "B"): 2, ("D", "E"): 0})
 def test_stored_labels_round_trip_or_are_rejected(tmp_path_factory, cells):
+    window = TimeWindow(MONDAY, dt.time(12, 0, 0), dt.time(23, 59, 59))
+    # Rows ingest would keep verbatim (it strips labels) parse to the same form.
+    kept = {pair: c for pair, c in cells.items() if all(x == x.strip() for x in pair)}
+    rows = [(str(MONDAY), "12:00:00", "23:59:59", o, d, str(c)) for (o, d), c in kept.items()]
+    parsed = parse_rows(enumerate(rows, start=2), "cells.csv")
+    assert parsed == ([SparseOdm(window, kept)] if kept else [])
+    for m in parsed:
+        assert_columnar(m, kept)
+
     store = HistoryStore(tmp_path_factory.mktemp("store"), retention_days=None)
     other = snap(MONDAY, {("P", "Q"): 5}, dt.time(0, 0, 0), dt.time(11, 59, 59))
     store.put_snapshot("src", other)
-    m = snap(MONDAY, cells, dt.time(12, 0, 0), dt.time(23, 59, 59))
+    m = SparseOdm(window, cells)
+    assert_columnar(m, cells)
     try:
         store.put_snapshot("src", m)
     except ValueError:
         assert any(
-            label != label.strip() or "\r" in label for pair in cells for label in pair
+            label != label.strip() or "\r" in label
+            for pair, count in cells.items()
+            if count > 0
+            for label in pair
         )
         assert store.windows_for("src", MONDAY) == [other.window]
     else:
-        assert store.get_snapshot("src", m.window) == m
+        got = store.get_snapshot("src", m.window)
+        assert got == m
+        assert_columnar(got, cells)
     # Whatever happened, the day stays readable in full.
     assert store.get_snapshot("src", other.window) == other
     assert other in store._read_day("src", MONDAY)

@@ -33,7 +33,7 @@ def test_constant_world_without_noise():
     first_week = snapshots[:7]
     second_week = snapshots[7:]
     for a, b in zip(first_week, second_week):
-        assert a.entries == b.entries
+        assert dict(a.cells()) == dict(b.cells())
 
 
 def test_weekday_factors_apply():
@@ -42,8 +42,9 @@ def test_weekday_factors_apply():
         base_spec(weekday_factors=factors), MONDAY, days=2, warmup_days=0
     )
     monday, tuesday = snapshots
-    for pair, value in monday.entries.items():
-        assert tuesday.cell_value(*pair) == pytest.approx(2 * value, abs=1)
+    tuesday_cells = dict(tuesday.cells())
+    for pair, value in monday.cells():
+        assert tuesday_cells.get(pair, 0) == pytest.approx(2 * value, abs=1)
 
 
 def test_windows_per_day():
@@ -56,9 +57,9 @@ def test_windows_per_day():
 def test_spike_multiplies_rounded_clean_count():
     clean, _ = generate(base_spec(), MONDAY, days=29, warmup_days=0)
     target_date = MONDAY + dt.timedelta(days=28)
-    clean_day = next(m for m in clean if m.window.date == target_date)
-    pair = sorted(clean_day.entries)[0]
-    baseline = clean_day.entries[pair]
+    clean_cells = dict(next(m for m in clean if m.window.date == target_date).cells())
+    pair = sorted(clean_cells)[0]
+    baseline = clean_cells[pair]
 
     anomaly = AnomalySpec(
         key=FlowKey.cell(*pair),
@@ -67,21 +68,21 @@ def test_spike_multiplies_rounded_clean_count():
         magnitude=3.0,
     )
     spiked, labels = generate(base_spec(anomalies=(anomaly,)), MONDAY, days=29, warmup_days=28)
-    spiked_day = next(m for m in spiked if m.window.date == target_date)
-    assert spiked_day.cell_value(*pair) == 3 * baseline
+    spiked_cells = dict(next(m for m in spiked if m.window.date == target_date).cells())
+    assert spiked_cells.get(pair, 0) == 3 * baseline
     assert len(labels) == 1
     assert labels[0]["anomaly"] == "spike"
     # everything else untouched
-    for other, value in clean_day.entries.items():
+    for other, value in clean_cells.items():
         if other != pair:
-            assert spiked_day.cell_value(*other) == value
+            assert spiked_cells.get(other, 0) == value
 
 
 def test_drop_to_zero():
     clean, _ = generate(base_spec(), MONDAY, days=29, warmup_days=0)
     target_date = MONDAY + dt.timedelta(days=28)
     clean_day = next(m for m in clean if m.window.date == target_date)
-    pair = sorted(clean_day.entries)[0]
+    pair = sorted(dict(clean_day.cells()))[0]
     anomaly = AnomalySpec(
         key=FlowKey.cell(*pair),
         window=TimeWindow.full_day(target_date),
@@ -90,13 +91,13 @@ def test_drop_to_zero():
     )
     dropped, _ = generate(base_spec(anomalies=(anomaly,)), MONDAY, days=29, warmup_days=28)
     dropped_day = next(m for m in dropped if m.window.date == target_date)
-    assert dropped_day.cell_value(*pair) == 0
+    assert dict(dropped_day.cells()).get(pair, 0) == 0
 
 
 def test_marginal_anomaly_scales_row():
     clean, _ = generate(base_spec(), MONDAY, days=1, warmup_days=0)
-    clean_day = clean[0]
-    origin = sorted({o for o, d in clean_day.entries if o != d})[0]
+    clean_cells = dict(clean[0].cells())
+    origin = sorted({o for o, d in clean_cells if o != d})[0]
     anomaly = AnomalySpec(
         key=FlowKey.outbound(origin),
         window=TimeWindow.full_day(MONDAY),
@@ -104,13 +105,13 @@ def test_marginal_anomaly_scales_row():
         magnitude=2.0,
     )
     spiked, _ = generate(base_spec(anomalies=(anomaly,)), MONDAY, days=1, warmup_days=0)
-    spiked_day = spiked[0]
-    def outbound(day):
-        return sum(v for (o, d), v in day.entries.items() if o == origin and d != origin)
+    spiked_cells = dict(spiked[0].cells())
+    def outbound(cells):
+        return sum(v for (o, d), v in cells.items() if o == origin and d != origin)
 
-    assert outbound(spiked_day) == 2 * outbound(clean_day)
+    assert outbound(spiked_cells) == 2 * outbound(clean_cells)
     # diagonal untouched
-    assert spiked_day.cell_value(origin, origin) == clean_day.cell_value(origin, origin)
+    assert spiked_cells.get((origin, origin), 0) == clean_cells.get((origin, origin), 0)
 
 
 def test_anomaly_inside_warmup_rejected():
