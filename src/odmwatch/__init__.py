@@ -1,6 +1,6 @@
 """odmwatch: anomaly detection for origin-destination mobility matrices."""
 
-from .core import AreaId, FlowKey, SparseOdm, TimeWindow
+from .core import AreaId, SparseOdm, TimeWindow
 from .detector import (
     DetectorConfig,
     DayReport,
@@ -28,7 +28,6 @@ __all__ = [
     "DayReport",
     "DayValidationReport",
     "DetectorConfig",
-    "FlowKey",
     "HistoryQuery",
     "HistorySlice",
     "HistoryStore",

@@ -121,10 +121,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     by_window = {}  # same window in two files: the later file wins
     try:
         for path in args.files:
-            for snapshot in parse_file(path, profile):
+            for snapshot in parse_file(path):
                 by_window[snapshot.window] = snapshot
     except (OdmParseError, OdmIntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: {path}: {getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
         return EXIT_ERROR
     snapshots = list(by_window.values())
 

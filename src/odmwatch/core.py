@@ -51,44 +51,6 @@ class TimeWindow:
         return f"{self.start.isoformat()}-{self.end.isoformat()}"
 
 
-@dataclass(frozen=True)
-class FlowKey:
-    """One monitored series: a single cell or a diagonal-excluded marginal.
-
-    ``kind`` is one of ``"cell"``, ``"inbound"`` or ``"outbound"``. Marginal
-    keys always denote the diagonal-excluded sums.
-    """
-
-    kind: str
-    origin: AreaId | None = None
-    destination: AreaId | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind == "cell":
-            if not self.origin or not self.destination:
-                raise ValueError("cell key needs origin and destination")
-        elif self.kind == "inbound":
-            if not self.destination or self.origin is not None:
-                raise ValueError("inbound key needs only a destination")
-        elif self.kind == "outbound":
-            if not self.origin or self.destination is not None:
-                raise ValueError("outbound key needs only an origin")
-        else:
-            raise ValueError(f"unknown flow-key kind {self.kind!r}")
-
-    @classmethod
-    def cell(cls, origin: AreaId, destination: AreaId) -> "FlowKey":
-        return cls("cell", origin, destination)
-
-    @classmethod
-    def inbound(cls, destination: AreaId) -> "FlowKey":
-        return cls("inbound", destination=destination)
-
-    @classmethod
-    def outbound(cls, origin: AreaId) -> "FlowKey":
-        return cls("outbound", origin=origin)
-
-
 class SparseOdm:
     """Immutable sparse ODM snapshot for one time window, in columnar form.
 

@@ -188,7 +188,7 @@ def iter_csv_rows(handle: IO[str], source: str) -> Iterator[tuple[int, list[str]
     return enumerate(reader, start=2)
 
 
-def parse_file(path: str | Path, profile: SourceProfile | None = None) -> list[SparseOdm]:
+def parse_file(path: str | Path) -> list[SparseOdm]:
     """Parse one CSV (or .csv.gz) file into snapshots, one per window.
 
     An empty file yields an empty list. Malformed rows raise

@@ -1,10 +1,12 @@
 """File-backed store of ODM snapshots across runs.
 
-Layout: one CSV per (source_id, date) holding every window of that date,
-in the ingestion format, plus a JSON sidecar index with byte offsets so a
-single window can be fetched without parsing the whole file. Writes are
-atomic (temp file + rename): a reader concurrent with a writer sees either
-the old or the new day file, never a torn one.
+Layout: one CSV per stored window, ``<source>/<YYYY-MM-DD>_<HHMMSS>-<HHMMSS>.csv``,
+in the ingestion format (header, then the window's nonzero cells in code
+order); an all-zero window is a header-only file. The directory listing is
+the index: a name of any other form is an error, so history written in
+another layout never reads as absent. Each write is atomic (temp file +
+rename), so a reader concurrent with a writer, or after a crash, sees
+either the old or the new window file, never a torn one.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import hashlib
-import io
 import json
 import logging
 import os
@@ -24,12 +25,13 @@ from pathlib import Path
 from typing import IO, Iterator
 
 from .core import SparseOdm, TimeWindow
-from .ingestion import CSV_COLUMNS, SourceProfile, iter_csv_rows, parse_rows, records_for
+from .ingestion import CSV_COLUMNS, SourceProfile, iter_csv_rows, parse_rows, write_snapshots_csv
 
 logger = logging.getLogger(__name__)
 
 STRIDE_DAYS = {"daily": 1, "weekly": 7}
-_DATE_FILE = re.compile(r"^\d{4}-\d{2}-\d{2}\.csv$")
+_WINDOW_FILE = re.compile(r"^(\d{4}-\d{2}-\d{2})_(\d{6})-(\d{6})\.csv$")
+_HEADER = (",".join(CSV_COLUMNS) + "\n").encode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -77,11 +79,12 @@ class StoreError(OSError):
 
 
 class HistoryStore:
-    """Date-granular snapshot store rooted at a directory.
+    """Window-granular snapshot store rooted at a directory.
 
-    Single-writer per (source_id, date) is assumed; readers are unlimited.
-    ``retention_days`` bounds how far behind the newest stored date old day
-    files are kept (pruned on write); ``None`` disables pruning.
+    Single-writer per stored window is assumed; readers are unlimited.
+    ``retention_days`` bounds how far behind the newest stored date the
+    window files of old dates are kept (pruned on write); ``None`` disables
+    pruning.
     """
 
     def __init__(self, root: str | Path, retention_days: int | None = 35) -> None:
@@ -96,11 +99,45 @@ class HistoryStore:
             raise ValueError(f"bad source id {source_id!r}")
         return self.root / source_id
 
-    def _day_csv(self, source_id: str, date: dt.date) -> Path:
-        return self._source_dir(source_id) / f"{date.isoformat()}.csv"
+    def _window_path(self, source_id: str, window: TimeWindow) -> Path:
+        """The window's file; ``ValueError`` for times a file name cannot
+        hold (fractional seconds or a time zone)."""
+        for t in (window.start, window.end):
+            if t.microsecond or t.tzinfo is not None:
+                raise ValueError(
+                    f"cannot store {source_id}/{window.date}: window {window.times_key()} "
+                    "needs whole-second times without a time zone"
+                )
+        name = f"{window.date.isoformat()}_{window.start:%H%M%S}-{window.end:%H%M%S}.csv"
+        return self._source_dir(source_id) / name
 
-    def _day_index(self, source_id: str, date: dt.date) -> Path:
-        return self._source_dir(source_id) / f"{date.isoformat()}.index.json"
+    def _stored_windows(self, source_id: str) -> list[TimeWindow]:
+        """Every stored window of a source, sorted, read from the file names.
+
+        Hidden temp files and ``profile.json`` are skipped; any other name
+        raises ``StoreError`` naming the file.
+        """
+        directory = self._source_dir(source_id)
+        if not directory.is_dir():
+            return []
+        windows = []
+        for path in directory.iterdir():
+            if path.name.startswith(".") or path.name == "profile.json":
+                continue
+            match = _WINDOW_FILE.match(path.name)
+            try:
+                if match is None:
+                    raise ValueError("not a window file name")
+                date, start, end = match.groups()
+                windows.append(
+                    TimeWindow(dt.date.fromisoformat(date), _hhmmss(start), _hhmmss(end))
+                )
+            except ValueError as exc:
+                raise StoreError(
+                    f"unexpected file {path} in the store ({exc}); it may hold history "
+                    "in an older layout: re-ingest the source into a new store root"
+                ) from None
+        return sorted(windows)
 
     # -- profiles ------------------------------------------------------
 
@@ -114,7 +151,8 @@ class HistoryStore:
             },
             separators=(",", ":"),
         )
-        _atomic_write_bytes(directory / "profile.json", payload.encode("utf-8"))
+        with atomic_open(directory / "profile.json", "w", encoding="utf-8") as handle:
+            handle.write(payload)
 
     def get_profile(self, source_id: str) -> SourceProfile | None:
         """The stored profile, or ``None`` when none was stored.
@@ -141,76 +179,55 @@ class HistoryStore:
     def put_snapshot(self, source_id: str, snapshot: SparseOdm) -> None:
         """Persist one snapshot; an existing same-window snapshot is replaced.
 
-        Raises ``ValueError``, writing nothing, for a label the day file
-        could not give back verbatim: the reader strips surrounding
-        whitespace, and the writer leaves a lone carriage return unquoted.
+        Raises ``ValueError``, writing nothing, for a snapshot its file could
+        not give back verbatim: a label with surrounding whitespace (the
+        reader strips it) or a lone carriage return (the writer leaves it
+        unquoted), or window times with fractional seconds or a time zone.
         """
-        date = snapshot.window.date
+        window = snapshot.window
         for label in snapshot.labels:
             if label != label.strip() or "\r" in label:
                 raise ValueError(
-                    f"cannot store {source_id}/{date}: area label {label!r} has "
+                    f"cannot store {source_id}/{window.date}: area label {label!r} has "
                     "surrounding whitespace or a carriage return"
                 )
+        path = self._window_path(source_id, window)
+        stored = self._stored_windows(source_id)
         try:
-            day = {m.window: m for m in self._read_day(source_id, date)}
-            if snapshot.window in day:
-                logger.info(
-                    "overwriting %s %s window %s",
-                    source_id,
-                    date,
-                    snapshot.window.times_key(),
-                )
-            day[snapshot.window] = snapshot
-            self._write_day(source_id, date, list(day.values()))
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with atomic_open(path, "w", encoding="utf-8", newline="") as handle:
+                write_snapshots_csv([snapshot], handle)
         except OSError as exc:
-            raise StoreError(f"cannot store {source_id}/{date}: {exc}") from exc
-        self._prune(source_id)
+            raise StoreError(f"cannot store {source_id}/{window.date}: {exc}") from exc
+        self._prune(source_id, {*stored, window})
 
     def get_snapshot(self, source_id: str, window: TimeWindow) -> SparseOdm | None:
         """Retrieve one snapshot, or ``None`` when it was never stored.
 
-        Reads only the window's block when the day's offset index is current.
+        Raises ``StoreError`` naming the file when it does not hold exactly
+        this window; a header-only file is the all-zero window.
         """
-        csv_path = self._day_csv(source_id, window.date)
-        if not csv_path.exists():
+        path = self._window_path(source_id, window)
+        try:
+            with open(path, "r", encoding="utf-8", newline="") as handle:
+                matrices = parse_rows(iter_csv_rows(handle, path.name), path.name)
+            if not matrices and path.stat().st_size == 0:
+                raise ValueError("empty file, no header")
+        except FileNotFoundError:
             return None
-        index = self._load_index(source_id, window.date)
-        if index is not None:
-            if window not in index:
-                return None
-            offset, length = index[window]
-            if length == 0:
-                # A stored window whose cells are all zero: present but empty.
-                return SparseOdm(window, {})
-            try:
-                with open(csv_path, "rb") as handle:
-                    handle.seek(offset)
-                    block = handle.read(length).decode("utf-8")
-                rows = csv.reader(io.StringIO(block, newline=""))
-                matrices = parse_rows(enumerate(rows, start=1), csv_path.name)
-            except (ValueError, OSError):
-                matrices = []
-            if len(matrices) == 1 and matrices[0].window == window:
-                return matrices[0]
-        self._warn_full_parse(csv_path)
-        for m in self._read_day(source_id, window.date):
-            if m.window == window:
-                return m
-        return None
+        except (OSError, ValueError, csv.Error) as exc:
+            raise StoreError(f"cannot read {path}: {exc}") from exc
+        if not matrices:
+            return SparseOdm(window, {})
+        if len(matrices) != 1 or matrices[0].window != window:
+            held = ", ".join(f"{m.window.date} {m.window.times_key()}" for m in matrices)
+            raise StoreError(f"{path} holds window {held}, not {window.times_key()}")
+        return matrices[0]
 
     def windows_for(self, source_id: str, date: dt.date) -> list[TimeWindow]:
-        """Windows stored for one date, ordered by start time.
-
-        Read from the day's offset index when it is current.
-        """
-        index = self._load_index(source_id, date)
-        if index is not None:
-            return sorted(index, key=lambda w: (w.start, w.end))
-        csv_path = self._day_csv(source_id, date)
-        if csv_path.exists():
-            self._warn_full_parse(csv_path)
-        return [m.window for m in self._read_day(source_id, date)]
+        """Windows stored for one date, all-zero ones included, ordered by
+        start time; read from the file names alone."""
+        return [w for w in self._stored_windows(source_id) if w.date == date]
 
     def fetch_history(self, query: HistoryQuery) -> HistorySlice:
         """The p past periods of a window, newest first.
@@ -229,122 +246,48 @@ class HistoryStore:
         return HistorySlice(tuple(dates), tuple(slots))
 
     def dates_for(self, source_id: str) -> list[dt.date]:
-        directory = self._source_dir(source_id)
-        if not directory.is_dir():
-            return []
-        return sorted(
-            dt.date.fromisoformat(p.name[:-4])
-            for p in directory.iterdir()
-            if _DATE_FILE.match(p.name)
-        )
+        return sorted({w.date for w in self._stored_windows(source_id)})
 
     def day_digest(self, source_id: str, date: dt.date) -> str | None:
-        """SHA-256 of the stored day file, for report audit headers."""
-        path = self._day_csv(source_id, date)
-        if not path.exists():
+        """SHA-256 of the date's stored windows, for report audit headers, or
+        ``None`` when none is stored.
+
+        Hashes the header, then each window file after its header, in
+        (start, end) order: the bytes of one CSV holding the whole day.
+        """
+        windows = self.windows_for(source_id, date)
+        if not windows:
             return None
-        return hashlib.sha256(path.read_bytes()).hexdigest()
+        digest = hashlib.sha256(_HEADER)
+        for window in windows:
+            path = self._window_path(source_id, window)
+            try:
+                payload = path.read_bytes()
+            except OSError as exc:
+                raise StoreError(f"cannot read {path}: {exc}") from exc
+            if not payload.startswith(_HEADER):
+                raise StoreError(f"{path} does not start with the CSV header")
+            digest.update(payload[len(_HEADER) :])
+        return digest.hexdigest()
 
     # -- internals -----------------------------------------------------
 
-    def _read_day(self, source_id: str, date: dt.date) -> list[SparseOdm]:
-        path = self._day_csv(source_id, date)
-        if not path.exists():
-            return []
-        try:
-            with open(path, "r", encoding="utf-8", newline="") as handle:
-                matrices = parse_rows(iter_csv_rows(handle, path.name), path.name)
-        except OSError as exc:
-            raise StoreError(f"cannot read {path}: {exc}") from exc
-        # All-zero windows leave no CSV rows; only the index remembers them.
-        present = {m.window for m in matrices}
-        for window in self._load_index(source_id, date) or ():
-            if window not in present:
-                matrices.append(SparseOdm(window, {}))
-        matrices.sort(key=lambda m: (m.window.start, m.window.end))
-        return matrices
-
-    def _write_day(self, source_id: str, date: dt.date, matrices: list[SparseOdm]) -> None:
-        directory = self._source_dir(source_id)
-        directory.mkdir(parents=True, exist_ok=True)
-        matrices.sort(key=lambda m: (m.window.start, m.window.end))
-
-        header = ",".join(CSV_COLUMNS) + "\n"
-        blocks: list[bytes] = [header.encode("utf-8")]
-        index_windows = []
-        offset = len(blocks[0])
-        for m in matrices:
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerows(records_for(m))
-            block = buf.getvalue().encode("utf-8")
-            blocks.append(block)
-            index_windows.append(
-                {
-                    "start": m.window.start.isoformat(),
-                    "end": m.window.end.isoformat(),
-                    "offset": offset,
-                    "length": len(block),
-                    "rows": len(m),
-                }
-            )
-            offset += len(block)
-
-        payload = b"".join(blocks)
-        index = {"file_size": len(payload), "windows": index_windows}
-        _atomic_write_bytes(self._day_csv(source_id, date), payload)
-        _atomic_write_bytes(
-            self._day_index(source_id, date),
-            json.dumps(index, separators=(",", ":")).encode("utf-8"),
-        )
-
-    def _load_index(
-        self, source_id: str, date: dt.date
-    ) -> dict[TimeWindow, tuple[int, int]] | None:
-        """Each indexed window's (offset, length) in the day file, or ``None``
-        when the index is absent, unreadable or out of step with the file.
-
-        Anything but ``{"file_size": int, "windows": [{"start", "end",
-        "offset", "length", ...}, ...]}`` counts as unreadable.
-        """
-        index_path = self._day_index(source_id, date)
-        csv_path = self._day_csv(source_id, date)
-        if not index_path.exists():
-            return None
-        try:
-            index = json.loads(index_path.read_text(encoding="utf-8"))
-            if index.get("file_size") != csv_path.stat().st_size:
-                return None
-            return {
-                TimeWindow(
-                    date,
-                    dt.time.fromisoformat(entry["start"]),
-                    dt.time.fromisoformat(entry["end"]),
-                ): (int(entry["offset"]), int(entry["length"]))
-                for entry in index["windows"]
-            }
-        except (ValueError, KeyError, TypeError, AttributeError, OSError):
-            return None
-
-    @staticmethod
-    def _warn_full_parse(csv_path: Path) -> None:
-        logger.warning(
-            "offset index of %s is missing, stale or unreadable; parsing the whole day file",
-            csv_path,
-        )
-
-    def _prune(self, source_id: str) -> None:
+    def _prune(self, source_id: str, windows: set[TimeWindow]) -> None:
+        """Unlink the files of ``windows`` dated more than ``retention_days``
+        before the newest of them."""
         if self.retention_days is None:
             return
-        dates = self.dates_for(source_id)
-        if not dates:
-            return
-        cutoff = dates[-1] - dt.timedelta(days=self.retention_days)
-        for date in dates:
-            if date < cutoff:
-                logger.info("pruning %s/%s (older than %d days)", source_id, date, self.retention_days)
-                self._day_csv(source_id, date).unlink(missing_ok=True)
-                self._day_index(source_id, date).unlink(missing_ok=True)
+        cutoff = max(w.date for w in windows) - dt.timedelta(days=self.retention_days)
+        for window in sorted(windows):
+            if window.date < cutoff:
+                logger.info(
+                    "pruning %s/%s %s (older than %d days)",
+                    source_id,
+                    window.date,
+                    window.times_key(),
+                    self.retention_days,
+                )
+                self._window_path(source_id, window).unlink(missing_ok=True)
 
 
 @contextmanager
@@ -373,9 +316,8 @@ def atomic_open(path: Path, mode: str = "w", **kwargs) -> Iterator[IO]:
         os.close(dir_fd)
 
 
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
-    with atomic_open(path, "wb") as handle:
-        handle.write(payload)
+def _hhmmss(text: str) -> dt.time:
+    return dt.time(int(text[:2]), int(text[2:4]), int(text[4:]))
 
 
 def retention_for(p: int, stride: str) -> int:

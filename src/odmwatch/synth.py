@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from ._engine import distinct_sorted
-from .core import FlowKey, SparseOdm, TimeWindow
+from .core import SparseOdm, TimeWindow
 from .ingestion import canonical_windows, write_snapshots_csv
 
 
@@ -32,22 +32,41 @@ class SynthSpecError(ValueError):
 
 @dataclass(frozen=True)
 class AnomalySpec:
-    """One injected anomaly: a key, a window, and a multiplicative factor."""
+    """One injected anomaly: a series, a window, and a multiplicative factor.
 
-    key: FlowKey
-    window: TimeWindow
+    The series is a cell (``kind="cell"``, origin and destination) or a
+    diagonal-excluded marginal (``"inbound"`` with only a destination,
+    ``"outbound"`` with only an origin), as in the report rows. ``anomaly``
+    is ``"spike"`` or ``"drop"``, as in the ground-truth labels.
+    """
+
     kind: str
+    origin: str | None
+    destination: str | None
+    window: TimeWindow
+    anomaly: str
     magnitude: float
 
     def __post_init__(self) -> None:
-        if self.kind == "spike":
+        if self.kind == "cell":
+            if not self.origin or not self.destination:
+                raise SynthSpecError("cell key needs origin and destination")
+        elif self.kind == "inbound":
+            if not self.destination or self.origin is not None:
+                raise SynthSpecError("inbound key needs only a destination")
+        elif self.kind == "outbound":
+            if not self.origin or self.destination is not None:
+                raise SynthSpecError("outbound key needs only an origin")
+        else:
+            raise SynthSpecError(f"unknown flow-key kind {self.kind!r}")
+        if self.anomaly == "spike":
             if self.magnitude <= 1.0:
                 raise SynthSpecError("spike magnitude must be > 1")
-        elif self.kind == "drop":
+        elif self.anomaly == "drop":
             if not 0.0 <= self.magnitude < 1.0:
                 raise SynthSpecError("drop magnitude must be in [0, 1)")
         else:
-            raise SynthSpecError(f"anomaly kind must be spike or drop, got {self.kind!r}")
+            raise SynthSpecError(f"anomaly kind must be spike or drop, got {self.anomaly!r}")
 
 
 @dataclass
@@ -123,13 +142,12 @@ def _choose_cells(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
 def _anomaly_mask(
     anomaly: AnomalySpec, origins: np.ndarray, dests: np.ndarray, label_ids: dict[str, int]
 ) -> np.ndarray:
-    key = anomaly.key
-    if key.kind == "cell":
-        return (origins == label_ids[key.origin]) & (dests == label_ids[key.destination])
-    if key.kind == "inbound":
-        j = label_ids[key.destination]
+    if anomaly.kind == "cell":
+        return (origins == label_ids[anomaly.origin]) & (dests == label_ids[anomaly.destination])
+    if anomaly.kind == "inbound":
+        j = label_ids[anomaly.destination]
         return (dests == j) & (origins != j)
-    i = label_ids[key.origin]
+    i = label_ids[anomaly.origin]
     return (origins == i) & (dests != i)
 
 
@@ -176,7 +194,10 @@ def generate(
             )
         mask = _anomaly_mask(anomaly, origins, dests, label_ids)
         if not mask.any():
-            raise SynthSpecError(f"anomaly target {anomaly.key} has no generated cells")
+            raise SynthSpecError(
+                f"anomaly target {anomaly.kind} {anomaly.origin}->{anomaly.destination} "
+                "has no generated cells"
+            )
 
     snapshots: list[SparseOdm] = []
     ground_truth: list[dict] = []
@@ -209,13 +230,13 @@ def generate(
     for anomaly in spec.anomalies:
         ground_truth.append(
             {
-                "kind": anomaly.key.kind,
-                "origin": anomaly.key.origin,
-                "destination": anomaly.key.destination,
+                "kind": anomaly.kind,
+                "origin": anomaly.origin,
+                "destination": anomaly.destination,
                 "date": anomaly.window.date.isoformat(),
                 "start": anomaly.window.start.isoformat(),
                 "end": anomaly.window.end.isoformat(),
-                "anomaly": anomaly.kind,
+                "anomaly": anomaly.anomaly,
                 "magnitude": anomaly.magnitude,
             }
         )
@@ -241,14 +262,10 @@ def write_generated(
 
 def _parse_anomaly(entry: dict, windows_per_day: int) -> AnomalySpec:
     kind = entry.get("kind", "cell")
-    if kind == "cell":
-        key = FlowKey.cell(entry["origin"], entry["destination"])
-    elif kind == "inbound":
-        key = FlowKey.inbound(entry["destination"])
-    elif kind == "outbound":
-        key = FlowKey.outbound(entry["origin"])
-    else:
+    if kind not in ("cell", "inbound", "outbound"):
         raise SynthSpecError(f"anomaly key kind {kind!r} unknown")
+    origin = None if kind == "inbound" else entry["origin"]
+    destination = None if kind == "outbound" else entry["destination"]
     date = dt.date.fromisoformat(entry["date"])
     if "start" in entry or "end" in entry:
         start = dt.time.fromisoformat(entry["start"])
@@ -261,9 +278,11 @@ def _parse_anomaly(entry: dict, windows_per_day: int) -> AnomalySpec:
             "anomaly needs explicit start/end when windows_per_day > 1"
         )
     return AnomalySpec(
-        key=key,
+        kind=kind,
+        origin=origin,
+        destination=destination,
         window=window,
-        kind=entry["anomaly"],
+        anomaly=entry["anomaly"],
         magnitude=float(entry["magnitude"]),
     )
 

@@ -22,7 +22,6 @@ from helpers import (
 )
 from odmwatch import (
     DetectorConfig,
-    FlowKey,
     SparseOdm,
     SynthSpec,
     TimeWindow,
@@ -161,8 +160,8 @@ def anomaly_world(tmp_path_factory):
 
     window = TimeWindow.full_day(TARGET)
     anomalies = [
-        AnomalySpec(FlowKey.cell(*pair), window, "spike", 3.0) for pair in spike_cells
-    ] + [AnomalySpec(FlowKey.cell(*pair), window, "drop", 0.1) for pair in drop_cells]
+        AnomalySpec("cell", *pair, window, "spike", 3.0) for pair in spike_cells
+    ] + [AnomalySpec("cell", *pair, window, "drop", 0.1) for pair in drop_cells]
     snapshots, labels = generate(synth_spec(anomalies), MONDAY, days=29, warmup_days=28)
     write_generated(tmp / "generated", snapshots, labels)
 

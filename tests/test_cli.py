@@ -59,7 +59,7 @@ def test_ingest_unstorable_label_exits_one(tmp_path, capsys):
     code = main(["ingest", str(path), "--source", "mno", "--store-root", str(store_root)])
     assert code == 1
     assert repr("A\rB") in capsys.readouterr().err
-    assert not (store_root / "mno" / f"{MONDAY}.csv").exists()
+    assert not (store_root / "mno" / f"{MONDAY}_000000-235959.csv").exists()
 
 
 def test_ingest_count_beyond_int64_exits_one(tmp_path, capsys):
@@ -73,7 +73,32 @@ def test_ingest_count_beyond_int64_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path.name}:2: ")
     assert "int64" in err
-    assert not (store_root / "mno" / f"{MONDAY}.csv").exists()
+    assert not (store_root / "mno" / f"{MONDAY}_000000-235959.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "content,reason",
+    [
+        (None, "No such file or directory"),
+        (
+            HEADER.encode() + b"2021-06-07,00:00:00,23:59:59,A,B,1\n"
+            b"2021-06-07,00:00:00,23:59:59,\xff,B,1\n",
+            "can't decode byte 0xff",
+        ),
+    ],
+    ids=["missing", "not-utf8"],
+)
+def test_ingest_unreadable_input_exits_one(tmp_path, capsys, content, reason):
+    path = tmp_path / "input.csv"
+    if content is not None:
+        path.write_bytes(content)
+    store_root = tmp_path / "store"
+    code = main(["ingest", str(path), "--source", "mno", "--store-root", str(store_root)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert reason in err and "Traceback" not in err
+    assert not (store_root / "mno" / f"{MONDAY}_000000-235959.csv").exists()
 
 
 def test_detect_count_beyond_engine_limit_names_period(tmp_path, capsys):

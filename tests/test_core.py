@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import dense_oracle
 from helpers import series_values
-from odmwatch import FlowKey, SparseOdm, TimeWindow
+from odmwatch import SparseOdm, TimeWindow
 
 W = TimeWindow.full_day(dt.date(2021, 6, 7))
 
@@ -99,15 +99,6 @@ def test_window_requires_start_before_end():
         TimeWindow(dt.date(2021, 6, 7), dt.time(10, 0, 0), dt.time(9, 0, 0))
 
 
-def test_flow_key_validation():
-    with pytest.raises(ValueError):
-        FlowKey("cell", origin="A")
-    with pytest.raises(ValueError):
-        FlowKey("inbound", origin="A", destination="B")
-    with pytest.raises(ValueError):
-        FlowKey("sideways", origin="A")
-
-
 @st.composite
 def sparse_matrices(draw):
     n = draw(st.integers(min_value=1, max_value=8))
@@ -158,9 +149,10 @@ def test_public_api_resolves():
     # Report rows are plain tuples; the per-row object layer is gone.
     from odmwatch import detector
 
-    for name in ("KeyOutcome", "Signal"):
+    for name in ("KeyOutcome", "Signal", "FlowKey"):
         assert not hasattr(odmwatch, name), name
         assert name not in odmwatch.__all__, name
     for name in ("KeyOutcome", "Signal", "_materialize_outcomes", "_outcome_row", "iter_outcome_rows"):
         assert not hasattr(detector, name), name
     assert "timings" not in {f.name for f in dataclasses.fields(detector.WindowReport)}
+    assert not hasattr(odmwatch.core, "FlowKey")

@@ -1,18 +1,25 @@
 import datetime as dt
+import hashlib
+import io
 import json
-import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import odmwatch
 from odmwatch import HistoryQuery, HistoryStore, SparseOdm, TimeWindow
 from odmwatch import store as store_module
-from odmwatch.ingestion import SourceProfile, parse_rows
+from odmwatch.ingestion import SourceProfile, parse_rows, write_snapshots_csv
 from odmwatch.store import StoreError, retention_for
 
 MONDAY = dt.date(2021, 6, 7)
+HEADER = b"date,start,end,origin,destination,count\n"
 
 
 @pytest.fixture
@@ -175,45 +182,152 @@ def test_retention_default_policy():
     assert retention_for(6, "weekly") == 42
 
 
-def test_stale_index_falls_back_to_full_parse(store, tmp_path, caplog):
-    m = snap(MONDAY, {("A", "B"): 10, ("C", "D"): 4})
-    store.put_snapshot("src", m)
-    index_path = store.root / "src" / f"{MONDAY.isoformat()}.index.json"
-    day_path = store.root / "src" / f"{MONDAY.isoformat()}.csv"
-    size = day_path.stat().st_size
-    for index in (
-        '{"file_size": 1, "windows": []}',  # claimed size no longer matches the CSV
-        "[]",  # not an object
-        f'{{"file_size": {size}, "windows": [1]}}',  # a window entry that is not an object
-    ):
-        index_path.write_text(index, encoding="utf-8")
-        for read, expected in (
-            (lambda: store.get_snapshot("src", m.window), m),
-            (lambda: store.windows_for("src", MONDAY), [m.window]),
-        ):
-            caplog.clear()
-            with caplog.at_level(logging.WARNING, logger="odmwatch.store"):
-                assert read() == expected, index
-            (record,) = caplog.records
-            assert record.levelno == logging.WARNING
-            assert str(day_path) in record.getMessage()
-
-
-def test_windows_for_reads_the_index(store, monkeypatch):
+def test_windows_for_parses_no_file(store, monkeypatch):
     morning = snap(MONDAY, {("A", "B"): 1}, dt.time(0, 0, 0), dt.time(7, 59, 59))
     noon = snap(MONDAY, {}, dt.time(8, 0, 0), dt.time(15, 59, 59))
     evening = snap(MONDAY, {("B", "A"): 2}, dt.time(16, 0, 0), dt.time(23, 59, 59))
     for m in (evening, noon, morning):
         store.put_snapshot("src", m)
-    full_parse = [m.window for m in store._read_day("src", MONDAY)]
-    assert full_parse == [morning.window, noon.window, evening.window]
 
     def no_parse(*args):
-        raise AssertionError("windows_for parsed the day file")
+        raise AssertionError("windows_for parsed a window file")
 
-    monkeypatch.setattr(store_module, "parse_rows", no_parse)
-    assert store.windows_for("src", MONDAY) == full_parse
-    assert store.get_snapshot("src", noon.window) == noon
+    with monkeypatch.context() as patch:
+        patch.setattr(store_module, "parse_rows", no_parse)
+        patch.setattr(store_module, "iter_csv_rows", no_parse)
+        assert store.windows_for("src", MONDAY) == [morning.window, noon.window, evening.window]
+        assert store.dates_for("src") == [MONDAY]
+    for m in (morning, noon, evening):
+        assert store.get_snapshot("src", m.window) == m
+
+
+def test_window_file_layout(store):
+    m = snap(MONDAY, {("B", "A"): 2, ("A", "B"): 1}, dt.time(8, 0, 0), dt.time(15, 59, 59))
+    store.put_snapshot("src", m)
+    store.put_snapshot("src", snap(MONDAY, {}, dt.time(16, 0, 0), dt.time(23, 59, 59)))
+    directory = store.root / "src"
+    assert sorted(p.name for p in directory.iterdir()) == [
+        f"{MONDAY}_080000-155959.csv",
+        f"{MONDAY}_160000-235959.csv",
+    ]
+    expected = io.StringIO()
+    write_snapshots_csv([m], expected)
+    assert (directory / f"{MONDAY}_080000-155959.csv").read_bytes() == expected.getvalue().encode()
+    assert (directory / f"{MONDAY}_160000-235959.csv").read_bytes() == HEADER
+
+
+def test_day_digest_hashes_the_day_as_one_csv(store):
+    day = [
+        snap(MONDAY, {("A", "B"): 1, ("B", "A"): 7}, dt.time(0, 0, 0), dt.time(7, 59, 59)),
+        snap(MONDAY, {}, dt.time(8, 0, 0), dt.time(15, 59, 59)),
+        snap(MONDAY, {("é", "東"): 2}, dt.time(16, 0, 0), dt.time(23, 59, 59)),
+    ]
+    for m in reversed(day):
+        store.put_snapshot("src", m)
+    one_csv = io.StringIO()
+    write_snapshots_csv(day, one_csv)
+    expected = hashlib.sha256(one_csv.getvalue().encode("utf-8")).hexdigest()
+    assert store.day_digest("src", MONDAY) == expected
+
+
+@pytest.mark.parametrize(
+    "content,reason",
+    [
+        (b"", "empty file"),
+        (b"date,start,end,origin\n", "bad header"),
+        (HEADER + b"2021-06-07,00:00:00,23:59:59,A,B,oops\n", ":2: bad count"),
+        (HEADER + b"2021-06-07,00:00:00,23:59:59,A,\xff,1\n", "utf-8"),
+        (HEADER + b"2021-06-07,00:00:00,11:59:59,A,B,1\n", "not 00:00:00-23:59:59"),
+        (HEADER + b"2021-06-08,00:00:00,23:59:59,A,B,1\n", "not 00:00:00-23:59:59"),
+    ],
+    ids=["empty", "bad-header", "bad-count", "not-utf8", "other-times", "other-date"],
+)
+def test_corrupt_window_file_raises_store_error(store, content, reason):
+    m = snap(MONDAY, {("A", "B"): 1})
+    store.put_snapshot("src", m)
+    path = store.root / "src" / f"{MONDAY}_000000-235959.csv"
+    path.write_bytes(content)
+    with pytest.raises(StoreError) as excinfo:
+        store.get_snapshot("src", m.window)
+    assert path.name in str(excinfo.value)
+    assert reason in str(excinfo.value)
+
+
+@pytest.mark.parametrize("name", [f"{MONDAY}.csv", f"{MONDAY}.index.json", "notes.txt"])
+def test_old_layout_file_raises_store_error(store, name):
+    stray = store.root / "src" / name
+    stray.parent.mkdir(parents=True)
+    stray.write_text("date,start,end,origin,destination,count\n", encoding="utf-8")
+    for read in (
+        lambda: store.windows_for("src", MONDAY),
+        lambda: store.dates_for("src"),
+        lambda: store.day_digest("src", MONDAY),
+        lambda: store.put_snapshot("src", snap(MONDAY, {("A", "B"): 1})),
+    ):
+        with pytest.raises(StoreError) as excinfo:
+            read()
+        assert str(stray) in str(excinfo.value)
+        assert "re-ingest" in str(excinfo.value)
+    assert [p.name for p in stray.parent.iterdir()] == [name]  # nothing written
+
+
+@pytest.mark.parametrize(
+    "start,end",
+    [
+        (dt.time(1, 0, 0, 500000), dt.time(2, 0, 0)),
+        (dt.time(1, 0, 0), dt.time(2, 0, 0, 1)),
+        (dt.time(1, 0, 0, tzinfo=dt.timezone.utc), dt.time(2, 0, 0, tzinfo=dt.timezone.utc)),
+    ],
+    ids=["start-microseconds", "end-microseconds", "time-zone"],
+)
+def test_unnameable_window_times_rejected_before_writing(store, start, end):
+    bad = snap(MONDAY, {("A", "B"): 1}, start, end)
+    with pytest.raises(ValueError) as excinfo:
+        store.put_snapshot("src", bad)
+    message = str(excinfo.value)
+    assert "src" in message and MONDAY.isoformat() in message
+    assert bad.window.times_key() in message
+    assert not (store.root / "src").exists()
+    # The date stays writable and readable.
+    good = snap(MONDAY, {("A", "B"): 2}, dt.time(1, 0, 0), dt.time(2, 0, 0))
+    store.put_snapshot("src", good)
+    assert store.get_snapshot("src", good.window) == good
+    assert store.windows_for("src", MONDAY) == [good.window]
+
+
+CRASH_BEFORE_RENAME = """
+import datetime as dt, os, sys
+from odmwatch import HistoryStore, SparseOdm, TimeWindow
+
+def crash(src, dst):
+    # The temp file is complete; die before it replaces the window file.
+    os._exit(17 if os.path.getsize(src) > 0 else 18)
+
+os.replace = crash
+store = HistoryStore(sys.argv[1], retention_days=None)
+window = TimeWindow(dt.date.fromisoformat(sys.argv[2]), dt.time(0, 0, 0), dt.time(23, 59, 59))
+store.put_snapshot("src", SparseOdm(window, {("A", "B"): 99, ("C", "D"): 1}))
+"""
+
+
+def test_crash_before_rename_keeps_the_old_window(store):
+    old = snap(MONDAY, {("A", "B"): 10})
+    store.put_snapshot("src", old)
+    before = (store.windows_for("src", MONDAY), store.day_digest("src", MONDAY))
+    src_root = Path(odmwatch.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src_root)}
+    child = subprocess.run(
+        [sys.executable, "-c", CRASH_BEFORE_RENAME, str(store.root), MONDAY.isoformat()],
+        env=env,
+        capture_output=True,
+        timeout=60,
+    )
+    assert child.returncode == 17, child.stderr.decode()
+    leftovers = [p.name for p in (store.root / "src").iterdir() if p.name.startswith(".")]
+    assert len(leftovers) == 1 and leftovers[0].endswith(".tmp")
+    assert store.get_snapshot("src", old.window) == old
+    assert (store.windows_for("src", MONDAY), store.day_digest("src", MONDAY)) == before
+    assert store.dates_for("src") == [MONDAY]
 
 
 LABEL_CHARS = st.one_of(
@@ -279,8 +393,8 @@ def test_stored_labels_round_trip_or_are_rejected(tmp_path_factory, cells):
         assert got == m
         assert_columnar(got, cells)
     # Whatever happened, the day stays readable in full.
-    assert store.get_snapshot("src", other.window) == other
-    assert other in store._read_day("src", MONDAY)
+    day = [store.get_snapshot("src", w) for w in store.windows_for("src", MONDAY)]
+    assert other in day and None not in day
 
 
 @pytest.mark.parametrize("label", [" A", "A ", "\tA", "A\u00a0", "A\rB"])
@@ -290,7 +404,7 @@ def test_unreadable_label_rejected_before_writing(store, label):
         store.put_snapshot("src", m)
     message = str(err.value)
     assert "src" in message and MONDAY.isoformat() in message and repr(label) in message
-    assert not (store.root / "src" / f"{MONDAY.isoformat()}.csv").exists()
+    assert not (store.root / "src" / f"{MONDAY}_000000-235959.csv").exists()
     assert store.get_snapshot("src", m.window) is None
 
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from odmwatch import AnomalySpec, FlowKey, SynthSpec, TimeWindow, generate
+from odmwatch import AnomalySpec, SynthSpec, TimeWindow, generate
 from odmwatch.synth import SynthSpecError, load_spec_file, write_generated
 
 MONDAY = dt.date(2021, 6, 7)
@@ -62,9 +62,11 @@ def test_spike_multiplies_rounded_clean_count():
     baseline = clean_cells[pair]
 
     anomaly = AnomalySpec(
-        key=FlowKey.cell(*pair),
+        kind="cell",
+        origin=pair[0],
+        destination=pair[1],
         window=TimeWindow.full_day(target_date),
-        kind="spike",
+        anomaly="spike",
         magnitude=3.0,
     )
     spiked, labels = generate(base_spec(anomalies=(anomaly,)), MONDAY, days=29, warmup_days=28)
@@ -84,9 +86,11 @@ def test_drop_to_zero():
     clean_day = next(m for m in clean if m.window.date == target_date)
     pair = sorted(dict(clean_day.cells()))[0]
     anomaly = AnomalySpec(
-        key=FlowKey.cell(*pair),
+        kind="cell",
+        origin=pair[0],
+        destination=pair[1],
         window=TimeWindow.full_day(target_date),
-        kind="drop",
+        anomaly="drop",
         magnitude=0.0,
     )
     dropped, _ = generate(base_spec(anomalies=(anomaly,)), MONDAY, days=29, warmup_days=28)
@@ -99,9 +103,11 @@ def test_marginal_anomaly_scales_row():
     clean_cells = dict(clean[0].cells())
     origin = sorted({o for o, d in clean_cells if o != d})[0]
     anomaly = AnomalySpec(
-        key=FlowKey.outbound(origin),
+        kind="outbound",
+        origin=origin,
+        destination=None,
         window=TimeWindow.full_day(MONDAY),
-        kind="spike",
+        anomaly="spike",
         magnitude=2.0,
     )
     spiked, _ = generate(base_spec(anomalies=(anomaly,)), MONDAY, days=1, warmup_days=0)
@@ -116,9 +122,11 @@ def test_marginal_anomaly_scales_row():
 
 def test_anomaly_inside_warmup_rejected():
     anomaly = AnomalySpec(
-        key=FlowKey.cell("A0", "A1"),
+        kind="cell",
+        origin="A0",
+        destination="A1",
         window=TimeWindow.full_day(MONDAY + dt.timedelta(days=3)),
-        kind="spike",
+        anomaly="spike",
         magnitude=2.0,
     )
     spec = SynthSpec(n_areas=10, density=1.0, base_volume=50.0, anomalies=(anomaly,))
@@ -128,9 +136,11 @@ def test_anomaly_inside_warmup_rejected():
 
 def test_anomaly_outside_range_rejected():
     anomaly = AnomalySpec(
-        key=FlowKey.cell("A0", "A1"),
+        kind="cell",
+        origin="A0",
+        destination="A1",
         window=TimeWindow.full_day(MONDAY + dt.timedelta(days=99)),
-        kind="spike",
+        anomaly="spike",
         magnitude=2.0,
     )
     spec = SynthSpec(n_areas=10, density=1.0, base_volume=50.0, anomalies=(anomaly,))
@@ -141,9 +151,19 @@ def test_anomaly_outside_range_rejected():
 def test_bad_magnitudes_rejected():
     window = TimeWindow.full_day(MONDAY)
     with pytest.raises(SynthSpecError):
-        AnomalySpec(FlowKey.cell("A", "B"), window, "spike", 0.5)
+        AnomalySpec("cell", "A", "B", window, "spike", 0.5)
     with pytest.raises(SynthSpecError):
-        AnomalySpec(FlowKey.cell("A", "B"), window, "drop", 1.5)
+        AnomalySpec("cell", "A", "B", window, "drop", 1.5)
+
+
+def test_anomaly_series_validation():
+    window = TimeWindow.full_day(MONDAY)
+    with pytest.raises(ValueError, match="cell key needs origin and destination"):
+        AnomalySpec("cell", "A", None, window, "spike", 2.0)
+    with pytest.raises(ValueError, match="inbound key needs only a destination"):
+        AnomalySpec("inbound", "A", "B", window, "spike", 2.0)
+    with pytest.raises(ValueError, match="unknown flow-key kind 'sideways'"):
+        AnomalySpec("sideways", "A", None, window, "spike", 2.0)
 
 
 def test_write_generated_layout(tmp_path):
@@ -185,7 +205,8 @@ def test_spec_file_round_trip(tmp_path):
     assert start == MONDAY
     assert days == 30
     assert warmup_days == 28
-    assert spec.anomalies[0].key == FlowKey.cell("A00", "A01")
+    anomaly = spec.anomalies[0]
+    assert (anomaly.kind, anomaly.origin, anomaly.destination) == ("cell", "A00", "A01")
 
 
 def test_spec_file_errors(tmp_path):
