@@ -4,7 +4,6 @@ from .core import AreaId, SparseOdm, TimeWindow
 from .detector import (
     DetectorConfig,
     DayReport,
-    ThresholdSet,
     WindowReport,
     detect_day,
     run_window,
@@ -17,7 +16,7 @@ from .ingestion import (
     parse_file,
     validate_day,
 )
-from .store import HistoryQuery, HistorySlice, HistoryStore
+from .store import HistoryStore
 from .synth import AnomalySpec, SynthSpec, generate
 
 __version__ = "0.1.0"
@@ -28,15 +27,12 @@ __all__ = [
     "DayReport",
     "DayValidationReport",
     "DetectorConfig",
-    "HistoryQuery",
-    "HistorySlice",
     "HistoryStore",
     "OdmIntegrityError",
     "OdmParseError",
     "SourceProfile",
     "SparseOdm",
     "SynthSpec",
-    "ThresholdSet",
     "TimeWindow",
     "WindowReport",
     "detect_day",

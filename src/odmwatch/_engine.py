@@ -2,13 +2,21 @@
 
 A matrix is a pair of aligned arrays: unique sorted int64 cell codes
 (origin * n_areas + destination) and int64 counts. One window's detection
-aligns the current and history matrices on the union of their codes,
-accumulates exact integer sums, and applies the bounds test elementwise.
+aligns the current and history matrices on the union of their codes and
+evaluates every monitored series with one rule, elementwise.
 
 The union is built by concatenating the already sorted code arrays, merging
 the sorted runs with a stable argsort, and keeping the first code of each
 run of equal codes; the same permutation gives each period's positions in
 the union, so no period is searched for its codes.
+
+Each period becomes one int64 series vector in report order: the m cells
+of the union, then one inbound marginal per destination, then one outbound
+marginal per origin. The period's counts are scattered into the first m
+slots and both diagonal-excluded marginal sums are written into the rest.
+Exact integer sums of the vector and its squares are accumulated period by
+period, one vector at a time, and the cells, inbound and outbound results
+are slices of one evaluation of the whole vector.
 
 Rules, per series (a cell, or an area's diagonal-excluded inbound or
 outbound marginal), over the n available past periods (a missing period is
@@ -176,34 +184,6 @@ def distinct_sorted(sorted_values: np.ndarray) -> np.ndarray:
     return sorted_values[_group_starts(sorted_values)]
 
 
-def _group_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    if len(starts) == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.add.reduceat(values, starts)
-
-
-class _Moments:
-    """Exact integer sums of one group of series over the available periods,
-    and which series held the same value in every one of them."""
-
-    def __init__(self, first: np.ndarray) -> None:
-        self.first = first
-        self.total = first.copy()
-        self.sumsq = first * first
-        self.constant = np.ones(len(first), dtype=bool)
-
-    def add(self, values: np.ndarray) -> None:
-        self.total += values
-        self.sumsq += values * values
-        self.constant &= values == self.first
-
-    def finish(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        ma = self.total / n
-        sd = np.sqrt(np.maximum(0.0, self.sumsq / n - ma * ma))
-        sd[self.constant] = 0.0
-        return ma, sd
-
-
 def evaluate_window(
     current: Columnar,
     history: Sequence[Columnar | None],
@@ -248,42 +228,40 @@ def evaluate_window(
     # Outbound series group by origin (the code order); inbound series need
     # one permutation by destination, reused for every period.
     out_starts = _group_starts(u_origin)
-    origin_areas = u_origin[out_starts] if m else np.empty(0, dtype=np.int64)
     dest_perm = np.argsort(u_dest, kind="stable")
     dest_sorted = u_dest[dest_perm]
     in_starts = _group_starts(dest_sorted)
-    dest_areas = dest_sorted[in_starts] if m else np.empty(0, dtype=np.int64)
+    inbound = slice(m, m + len(in_starts))
+    outbound = slice(inbound.stop, inbound.stop + len(out_starts))
 
-    def align(k: int) -> np.ndarray:
-        dense = np.zeros(m, dtype=np.int64)
-        dense[slots[k]] = periods[k].values
-        return dense
+    def series(k: int) -> np.ndarray:
+        """Period k's series vector: cells, then inbound, then outbound."""
+        values = np.zeros(outbound.stop, dtype=np.int64)
+        values[slots[k]] = periods[k].values
+        masked = np.where(offdiag, values[:m], 0)
+        np.add.reduceat(masked[dest_perm], in_starts, out=values[inbound])
+        np.add.reduceat(masked, out_starts, out=values[outbound])
+        if n:  # marginals are squared only when there is history
+            _check_cap(values[outbound], cap, "outbound marginal", k)
+            _check_cap(values[inbound], cap, "inbound marginal", k)
+        return values
 
-    def marginal_sums(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        masked = np.where(offdiag, dense, 0)
-        out_sums = _group_sums(masked, out_starts)
-        in_sums = _group_sums(masked[dest_perm], in_starts)
-        return out_sums, in_sums
-
-    observed = align(0)
-    obs_out, obs_in = marginal_sums(observed)
-
-    cell_stats = marg_out_stats = marg_in_stats = None
+    # Exact integer sums over the available periods, and which series held
+    # the same value in every one of them.
+    for k in range(1, n + 1):
+        values = series(k)
+        if k == 1:
+            base, total, sumsq = values, values.copy(), values * values
+            constant = np.ones(len(values), dtype=bool)
+        else:
+            total += values
+            sumsq += values * values
+            constant &= values == base
+    observed = series(0)  # last, so its marginals are checked after the history's
     if n:
-        moments: list[_Moments] = []
-        for k in range(1, n + 1):
-            dense = align(k)
-            out_sums, in_sums = marginal_sums(dense)
-            _check_cap(out_sums, cap, "outbound marginal", k)
-            _check_cap(in_sums, cap, "inbound marginal", k)
-            if moments:
-                for acc, values in zip(moments, (dense, out_sums, in_sums)):
-                    acc.add(values)
-            else:
-                moments = [_Moments(values) for values in (dense, out_sums, in_sums)]
-        _check_cap(obs_out, cap, "outbound marginal", 0)
-        _check_cap(obs_in, cap, "inbound marginal", 0)
-        cell_stats, marg_out_stats, marg_in_stats = (acc.finish(n) for acc in moments)
+        ma = total / n
+        sd = np.sqrt(np.maximum(0.0, sumsq / n - ma * ma))
+        sd[constant] = 0.0
     timings["stats"] = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -299,14 +277,7 @@ def evaluate_window(
     timings["threshold"] = time.perf_counter() - t1
 
     t2 = time.perf_counter()
-
-    def detect(obs: np.ndarray, stats: tuple[np.ndarray, np.ndarray] | None) -> SeriesBlock:
-        if stats is None:
-            return SeriesBlock(
-                observed=obs,
-                status=np.full(len(obs), STATUS_MISSING_DATA, dtype=np.int8),
-            )
-        ma, sd = stats
+    if n:
         upper = ma + np.maximum(t_value, 3.0 * sd)
         low = np.minimum(ma - t_value, ma - 3.0 * sd)
         if mode == "paper_literal":
@@ -314,40 +285,31 @@ def evaluate_window(
         else:
             lower = np.maximum(low, 0.0)
         eligible = ma >= th
-        up_sig = eligible & (obs > upper)
-        lo_sig = eligible & (obs < lower)
-        status = np.zeros(len(obs), dtype=np.int8)
+        up_sig = eligible & (observed > upper)
+        lo_sig = eligible & (observed < lower)
+        status = np.zeros(len(observed), dtype=np.int8)
         status[~eligible] = STATUS_BELOW_ELIGIBILITY
         status[up_sig | lo_sig] = STATUS_SIGNAL
-        direction = np.zeros(len(obs), dtype=np.int8)
+        direction = np.zeros(len(observed), dtype=np.int8)
         direction[up_sig] = DIR_UPPER
         direction[lo_sig] = DIR_LOWER
         with np.errstate(divide="ignore", invalid="ignore"):
-            inc = (obs / ma - 1.0) * 100.0
+            inc = (observed / ma - 1.0) * 100.0
         zero_ma = ma == 0.0
         if zero_ma.any():
-            inc[zero_ma & (obs > 0)] = math.inf
-            inc[zero_ma & (obs == 0)] = 0.0
+            inc[zero_ma & (observed > 0)] = math.inf
+            inc[zero_ma & (observed == 0)] = 0.0
         magnitude = np.abs(inc)
-        level = np.ones(len(obs), dtype=np.int8)
+        level = np.ones(len(observed), dtype=np.int8)
         level += (magnitude >= 50.0).astype(np.int8)
         level += (magnitude >= 100.0).astype(np.int8)
-        return SeriesBlock(
-            observed=obs,
-            status=status,
-            ma=ma,
-            sd=sd,
-            direction=direction,
-            level=level,
-            inc=inc,
-            lower=lower,
-            upper=upper,
-        )
-
-    cells = detect(observed, cell_stats)
-    outbound = detect(obs_out, marg_out_stats)
-    inbound = detect(obs_in, marg_in_stats)
+        every = SeriesBlock(observed, status, ma, sd, direction, level, inc, lower, upper)
+    else:
+        every = SeriesBlock(observed, np.full(len(observed), STATUS_MISSING_DATA, dtype=np.int8))
     timings["detect"] = time.perf_counter() - t2
+
+    def part(span: slice) -> SeriesBlock:
+        return SeriesBlock(**{k: None if v is None else v[span] for k, v in vars(every).items()})
 
     return WindowEvaluation(
         n_areas=n_areas,
@@ -356,10 +318,10 @@ def evaluate_window(
         eligible_count=n_eligible,
         degenerate=degenerate,
         cell_codes=universe,
-        cells=cells,
-        inbound_areas=dest_areas,
-        inbound=inbound,
-        outbound_areas=origin_areas,
-        outbound=outbound,
+        cells=part(slice(0, m)),
+        inbound_areas=dest_sorted[in_starts],
+        inbound=part(inbound),
+        outbound_areas=u_origin[out_starts],
+        outbound=part(outbound),
         timings=timings,
     )

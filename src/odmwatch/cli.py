@@ -90,7 +90,11 @@ def load_config_file(path: Path) -> dict:
         key = key.strip()
         if key not in _CONFIG_PARSERS:
             raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
-        values[key] = _CONFIG_PARSERS[key](value.strip())
+        value = value.strip()
+        try:
+            values[key] = _CONFIG_PARSERS[key](value)
+        except ValueError:
+            raise ValueError(f"{path}:{line_no}: bad value {value!r} for {key}") from None
     return values
 
 
@@ -154,7 +158,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_detect(args: argparse.Namespace) -> int:
     config = build_config(args)
-    date = dt.date.fromisoformat(args.date)
+    try:
+        date = dt.date.fromisoformat(args.date)
+    except ValueError as exc:
+        raise ValueError(f"bad --date {args.date!r}: {exc}") from None
     store = config.open_store()
     try:
         report = detect_day(
@@ -228,19 +235,29 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(
+    parser: argparse.ArgumentParser, detector: bool = True, store: bool = True
+) -> None:
+    """The config-file flag, --p, and the flags of the detector parameters
+    and of the store that a command uses."""
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--th", type=int, help="eligibility threshold (default 20)")
     parser.add_argument("--p", type=int, help="rolling window length (default 4)")
-    parser.add_argument("--quantile", type=float, help="daily quantile level (default 0.75)")
-    parser.add_argument("--stride", choices=("daily", "weekly"), help="history stride (default weekly)")
-    parser.add_argument(
-        "--bounds-mode",
-        dest="bounds_mode",
-        choices=("clamped", "paper_literal"),
-        help="lower-bound handling (default clamped)",
-    )
-    parser.add_argument("--store-root", dest="store_root", type=Path, help="snapshot store directory")
+    if detector:
+        parser.add_argument("--th", type=int, help="eligibility threshold (default 20)")
+        parser.add_argument("--quantile", type=float, help="daily quantile level (default 0.75)")
+        parser.add_argument(
+            "--bounds-mode",
+            dest="bounds_mode",
+            choices=("clamped", "paper_literal"),
+            help="lower-bound handling (default clamped)",
+        )
+    if store:
+        parser.add_argument(
+            "--stride", choices=("daily", "weekly"), help="history stride (default weekly)"
+        )
+        parser.add_argument(
+            "--store-root", dest="store_root", type=Path, help="snapshot store directory"
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="expected windows per day (default 1 = whole-day)",
     )
-    _add_config_flags(p_ingest)
+    _add_config_flags(p_ingest, detector=False)
     p_ingest.set_defaults(func=cmd_ingest)
 
     p_detect = sub.add_parser("detect", help="run detection for one source and date")
@@ -283,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--density", type=float, help="alternative to --nonzeros")
     p_bench.add_argument("--windows", type=int, default=25)
     p_bench.add_argument("--seed", type=int, default=0)
-    _add_config_flags(p_bench)
+    _add_config_flags(p_bench, store=False)
     p_bench.set_defaults(func=cmd_bench)
 
     return parser

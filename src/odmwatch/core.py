@@ -43,10 +43,6 @@ class TimeWindow:
     def full_day(cls, date: dt.date) -> "TimeWindow":
         return cls(date, FULL_DAY_START, FULL_DAY_END)
 
-    def shifted(self, days: int) -> "TimeWindow":
-        """Same time-of-day window on another date."""
-        return TimeWindow(self.date + dt.timedelta(days=days), self.start, self.end)
-
     def times_key(self) -> str:
         return f"{self.start.isoformat()}-{self.end.isoformat()}"
 
@@ -89,8 +85,8 @@ class SparseOdm:
                 )
             if (origin, destination) in seen:
                 raise ValueError(f"duplicate cell ({origin}, {destination})")
+            seen.add((origin, destination))
             if count > 0:
-                seen.add((origin, destination))
                 origins.append(ids.setdefault(origin, len(ids)))
                 dests.append(ids.setdefault(destination, len(ids)))
                 counts.append(count)

@@ -22,14 +22,14 @@ import math
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
 from . import _engine
 from .core import SparseOdm, TimeWindow
 from .ingestion import window_gaps
-from .store import HistoryQuery, HistorySlice, HistoryStore, atomic_open
+from .store import HistoryStore, atomic_open, history_dates
 
 BOUNDS_MODES = ("clamped", "paper_literal")
 
@@ -78,29 +78,18 @@ class DetectorConfig:
             raise ValueError(f"bounds_mode must be one of {BOUNDS_MODES}")
 
 
-@dataclass(frozen=True)
-class ThresholdSet:
-    """The day's quantile threshold plus the configuration that produced it.
-
-    ``degenerate`` marks a window where no cell reached th, in which case t
-    falls back to th itself.
-    """
-
-    th: int
-    q: float
-    t: float
-    eligible_count: int
-    degenerate: bool = False
-
-
 @dataclass
 class WindowReport:
-    """One window's result. ``outcomes`` holds one tuple per series whose
-    status is not ``no_signal``, in ``REPORT_COLUMNS`` order."""
+    """One window's result. ``t`` is the day's quantile threshold, or th
+    itself when ``degenerate`` (no cell reached th); ``eligible_count`` is
+    the number of cells that did. ``outcomes`` holds one tuple per series
+    whose status is not ``no_signal``, in ``REPORT_COLUMNS`` order."""
 
     source_id: str
     window: TimeWindow
-    threshold: ThresholdSet
+    t: float
+    eligible_count: int
+    degenerate: bool
     available: int
     outcomes: list[tuple]
     summary: dict[str, int]
@@ -185,28 +174,26 @@ def _report_rows(
 
 def run_window(
     current: SparseOdm,
-    slice_: HistorySlice,
+    history: Sequence[SparseOdm | None],
     config: DetectorConfig,
     source_id: str = "",
 ) -> WindowReport:
-    """Evaluate one window against its history slice.
+    """Evaluate one window against its past periods (``None`` = missing).
 
     The monitored universe is every cell present now or in any available
     past period, plus the outbound marginal of every origin and the inbound
     marginal of every destination in that union. Output ordering is fixed:
     cells, then inbound, then outbound, each sorted by area labels.
     """
-    present = [(current.window.date, current)] + [
-        (date, m) for date, m in zip(slice_.dates, slice_.slots) if m is not None
-    ]
-    labels = sorted(set().union(*(m.labels for _, m in present)))
+    present = [current] + [m for m in history if m is not None]
+    labels = sorted(set().union(*(m.labels for m in present)))
     label_ids = {label: i for i, label in enumerate(labels)}
     n_areas = max(1, len(labels))
     columns = [
         _engine.columnar_from_entries(
             m, np.array([label_ids[x] for x in m.labels], dtype=np.int64), n_areas
         )
-        for _, m in present
+        for m in present
     ]
     try:
         evaluation = _engine.evaluate_window(
@@ -215,19 +202,14 @@ def run_window(
     except _engine.EngineLimitError as exc:
         raise ValueError(
             f"source {source_id!r}, window {current.window.times_key()}, "
-            f"period {present[exc.period][0]}: {exc}"
+            f"period {present[exc.period].window.date}: {exc}"
         ) from None
-    threshold = ThresholdSet(
-        th=config.th,
-        q=config.quantile,
-        t=evaluation.t,
-        eligible_count=evaluation.eligible_count,
-        degenerate=evaluation.degenerate,
-    )
     return WindowReport(
         source_id=source_id,
         window=current.window,
-        threshold=threshold,
+        t=evaluation.t,
+        eligible_count=evaluation.eligible_count,
+        degenerate=evaluation.degenerate,
         available=evaluation.available,
         outcomes=_report_rows(evaluation, labels, source_id, current.window),
         summary=evaluation.summary(),
@@ -251,6 +233,7 @@ def detect_day(
     stride: str = "weekly",
 ) -> DayReport:
     """Run every stored window of a date through the detector, in start order."""
+    past_dates = history_dates(date, p, stride)
     windows = store.windows_for(source_id, date)
     profile = store.get_profile(source_id)
     missing: list[str] = []
@@ -263,13 +246,9 @@ def detect_day(
         current = store.get_snapshot(source_id, window)
         if current is None:
             raise RuntimeError(f"window {window} disappeared from the store")
-        slice_ = store.fetch_history(HistoryQuery(source_id, window, p, stride))
-        reports.append(run_window(current, slice_, config, source_id=source_id))
+        history = store.fetch_history(source_id, window, p, stride)
+        reports.append(run_window(current, history, config, source_id=source_id))
 
-    history_dates = [
-        date - dt.timedelta(days=k * (1 if stride == "daily" else 7))
-        for k in range(1, p + 1)
-    ]
     return DayReport(
         source_id=source_id,
         date=date,
@@ -279,7 +258,7 @@ def detect_day(
         window_reports=reports,
         missing_windows=missing,
         extra_windows=extra,
-        input_digest=_day_input_digest(store, source_id, [date] + history_dates),
+        input_digest=_day_input_digest(store, source_id, [date] + past_dates),
     )
 
 
@@ -304,9 +283,9 @@ def _report_header(report: DayReport) -> dict:
                 "start": w.window.start.isoformat(),
                 "end": w.window.end.isoformat(),
                 "available": w.available,
-                "t": w.threshold.t,
-                "eligible_count": w.threshold.eligible_count,
-                "degenerate": w.threshold.degenerate,
+                "t": w.t,
+                "eligible_count": w.eligible_count,
+                "degenerate": w.degenerate,
                 "keys": w.summary["keys"],
             }
             for w in report.window_reports

@@ -20,7 +20,6 @@ import os
 import re
 import secrets
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -34,44 +33,17 @@ _WINDOW_FILE = re.compile(r"^(\d{4}-\d{2}-\d{2})_(\d{6})-(\d{6})\.csv$")
 _HEADER = (",".join(CSV_COLUMNS) + "\n").encode("utf-8")
 
 
-@dataclass(frozen=True)
-class HistoryQuery:
-    """Request for the p periods preceding a window, at a given stride."""
+def history_dates(date: dt.date, p: int, stride: str) -> list[dt.date]:
+    """The p past dates of ``date``, newest first.
 
-    source_id: str
-    window: TimeWindow
-    p: int
-    stride: str = "weekly"
-
-    def __post_init__(self) -> None:
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
-        if self.stride not in STRIDE_DAYS:
-            raise ValueError(f"stride must be one of {sorted(STRIDE_DAYS)}")
-
-
-@dataclass(frozen=True)
-class HistorySlice:
-    """Exactly p history slots, newest first; ``None`` marks a missing period.
-
-    ``slots[k]`` corresponds to ``dates[k]`` = query date - (k+1) * stride
-    days, with the same start/end times as the queried window.
+    Daily stride gives d-1 ... d-p; weekly stride d-7 ... d-7p, preserving
+    the weekday.
     """
-
-    dates: tuple[dt.date, ...]
-    slots: tuple[SparseOdm | None, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.dates) != len(self.slots):
-            raise ValueError("dates and slots must have equal length")
-
-    @property
-    def p(self) -> int:
-        return len(self.slots)
-
-    @property
-    def available(self) -> int:
-        return sum(1 for s in self.slots if s is not None)
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    if stride not in STRIDE_DAYS:
+        raise ValueError(f"stride must be one of {sorted(STRIDE_DAYS)}")
+    return [date - dt.timedelta(days=k * STRIDE_DAYS[stride]) for k in range(1, p + 1)]
 
 
 class StoreError(OSError):
@@ -229,21 +201,16 @@ class HistoryStore:
         start time; read from the file names alone."""
         return [w for w in self._stored_windows(source_id) if w.date == date]
 
-    def fetch_history(self, query: HistoryQuery) -> HistorySlice:
-        """The p past periods of a window, newest first.
-
-        Daily stride looks at d-1 ... d-p; weekly stride at d-7 ... d-7p,
-        preserving the weekday. Absent snapshots become ``None`` markers,
-        never an error.
-        """
-        step = STRIDE_DAYS[query.stride]
-        dates = []
-        slots = []
-        for k in range(1, query.p + 1):
-            past = query.window.shifted(-k * step)
-            dates.append(past.date)
-            slots.append(self.get_snapshot(query.source_id, past))
-        return HistorySlice(tuple(dates), tuple(slots))
+    def fetch_history(
+        self, source_id: str, window: TimeWindow, p: int, stride: str = "weekly"
+    ) -> list[SparseOdm | None]:
+        """The window's snapshots on its p ``history_dates``, newest first,
+        with the same start and end times. An absent snapshot is ``None``,
+        never an error."""
+        return [
+            self.get_snapshot(source_id, TimeWindow(date, window.start, window.end))
+            for date in history_dates(window.date, p, stride)
+        ]
 
     def dates_for(self, source_id: str) -> list[dt.date]:
         return sorted({w.date for w in self._stored_windows(source_id)})

@@ -12,7 +12,7 @@ import numpy as np
 import dense_oracle
 from odmwatch import DetectorConfig, SparseOdm, TimeWindow, _engine, run_window
 from odmwatch.detector import _DIRECTION_NAMES, _STATUS_NAMES, REPORT_COLUMNS
-from odmwatch.store import HistoryQuery, HistorySlice, HistoryStore
+from odmwatch.store import HistoryStore
 
 BASE_DATE = dt.date(2021, 6, 7)  # a Monday
 
@@ -79,15 +79,11 @@ def cell_stats(history):
     return result.ma, result.sd, result.available
 
 
-def no_history(window: TimeWindow) -> HistorySlice:
-    """A one-period history slice whose period is missing."""
-    return HistorySlice((window.date - dt.timedelta(days=7),), (None,))
-
-
 def report_threshold(current: SparseOdm, th: int = 20, q: float = 0.75):
-    """The ThresholdSet of ``run_window`` on ``current``."""
+    """The ``run_window`` report of ``current`` against one missing period,
+    for its ``t``, ``eligible_count`` and ``degenerate``."""
     config = DetectorConfig(th=th, quantile=q)
-    return run_window(current, no_history(current.window), config).threshold
+    return run_window(current, [None], config)
 
 
 def row_fields(row: tuple) -> dict:
@@ -101,15 +97,14 @@ def rows_by_series(report) -> dict:
     return {(r["kind"], r["origin"], r["destination"]): r for r in rows}
 
 
-def series_values(current: SparseOdm, slice_: HistorySlice | None = None) -> dict:
+def series_values(current: SparseOdm, history: list | None = None) -> dict:
     """Every monitored series of a window as
     {(kind, origin, destination): (observed, ma)}.
 
     Runs ``run_window`` with an eligibility threshold no series reaches, so
     that each series is reported; ma is ``None`` when every period is missing.
     """
-    slice_ = slice_ or no_history(current.window)
-    report = run_window(current, slice_, DetectorConfig(th=2**62))
+    report = run_window(current, history or [None], DetectorConfig(th=2**62))
     return {key: (r["observed"], r["ma"]) for key, r in rows_by_series(report).items()}
 
 
@@ -141,11 +136,11 @@ def random_dense(
 def compare_report_to_oracle(report, oracle) -> list[str]:
     """Return a list of discrepancies (empty = exact agreement)."""
     problems = []
-    if report.threshold.t != oracle["t"]:
-        problems.append(f"t: {report.threshold.t} != {oracle['t']}")
-    if report.threshold.eligible_count != oracle["eligible_count"]:
+    if report.t != oracle["t"]:
+        problems.append(f"t: {report.t} != {oracle['t']}")
+    if report.eligible_count != oracle["eligible_count"]:
         problems.append("eligible_count mismatch")
-    if report.threshold.degenerate != oracle["degenerate"]:
+    if report.degenerate != oracle["degenerate"]:
         problems.append("degenerate flag mismatch")
 
     expected = oracle["outcomes"]
@@ -225,8 +220,8 @@ def run_store_backed_trial(
         store.put_snapshot(source, dense_to_sparse(h, labels, past))
 
     current = dense_to_sparse(current_dense, labels, window)
-    slice_ = store.fetch_history(HistoryQuery(source, window, p, stride))
-    report = run_window(current, slice_, DetectorConfig(th=th, quantile=q, bounds_mode=mode))
+    history = store.fetch_history(source, window, p, stride)
+    report = run_window(current, history, DetectorConfig(th=th, quantile=q, bounds_mode=mode))
 
     oracle = dense_oracle.evaluate_dense(
         current_dense, history_dense, labels, th, q, mode

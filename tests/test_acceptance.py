@@ -245,7 +245,7 @@ def test_injected_anomaly_recall(anomaly_world):
     expected, t = expected_signal_set(anomaly_world)
     report = detect_day(anomaly_world["store"], "synth", TARGET, DetectorConfig())
     (window_report,) = report.window_reports
-    assert window_report.threshold.t == t
+    assert window_report.t == t
 
     detected = {}
     for key, row in rows_by_series(window_report).items():

@@ -388,6 +388,77 @@ def test_workers_option_is_gone(synthetic_store, tmp_path, capsys):
         main(argv + ["--workers", "4"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ingest", "in.csv", "--source", "mno", "--th", "5"],
+        ["ingest", "in.csv", "--source", "mno", "--quantile", "0.5"],
+        ["ingest", "in.csv", "--source", "mno", "--bounds-mode", "paper_literal"],
+        ["bench", "--areas", "10", "--nonzeros", "40", "--stride", "daily"],
+        ["bench", "--areas", "10", "--nonzeros", "40", "--store-root", "store"],
+    ],
+    ids=["ingest-th", "ingest-quantile", "ingest-bounds-mode", "bench-stride", "bench-store-root"],
+)
+def test_unused_flags_are_gone(tmp_path, capsys, argv):
+    # ingest stores no detector parameter and bench reads no store, so they
+    # take no such flag; argparse names it and exits 2.
+    day_csv(tmp_path, MONDAY, name="in.csv")
+    argv = [str(tmp_path / a) if a == "in.csv" else a for a in argv]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
+def test_ingest_accepts_a_shared_config_file(tmp_path, capsys):
+    # One config file may serve ingest and detect; ingest reads only p,
+    # stride and store_root from it, but accepts every key.
+    store_root = tmp_path / "store"
+    config = tmp_path / "odmwatch.conf"
+    config.write_text(
+        f"th=5\nquantile=0.5\nbounds_mode=paper_literal\nstore_root={store_root}\n",
+        encoding="utf-8",
+    )
+    path = day_csv(tmp_path, MONDAY, per_day=1)
+    assert main(["ingest", str(path), "--source", "mno", "--config", str(config)]) == 0
+    assert (store_root / "mno" / f"{MONDAY}_000000-235959.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "text,line,message",
+    [
+        ("th=20\np=abc\n", 2, "bad value 'abc' for p"),
+        ("# tuned\nquantile=x\n", 2, "bad value 'x' for quantile"),
+        ("th= 1.5 # comment\n", 1, "bad value '1.5' for th"),
+    ],
+    ids=["p", "quantile", "th"],
+)
+def test_config_file_bad_value_names_file_and_line(synthetic_store, tmp_path, capsys, text, line, message):
+    config = tmp_path / "odmwatch.conf"
+    config.write_text(text, encoding="utf-8")
+    argv = ["detect", "--source", "mno", "--date", str(MONDAY), "--config", str(config)]
+    assert main(argv + ["--store-root", str(synthetic_store)]) == 1
+    assert capsys.readouterr().err == f"error: {config}:{line}: {message}\n"
+
+
+def test_detect_bad_date_names_the_flag(synthetic_store, tmp_path, capsys):
+    out = tmp_path / "r.jsonl"
+    argv = ["detect", "--source", "mno", "--date", "2021-13-07", "--output", str(out)]
+    assert main(argv + ["--store-root", str(synthetic_store)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad --date '2021-13-07': ")
+    assert "month must be in 1..12" in err
+    assert not out.exists()
+
+
+def test_detect_p_zero_exits_one(synthetic_store, tmp_path, capsys):
+    out = tmp_path / "r.jsonl"
+    argv = ["detect", "--source", "mno", "--date", str(MONDAY), "--p", "0", "--output", str(out)]
+    assert main(argv + ["--store-root", str(synthetic_store)]) == 1
+    assert capsys.readouterr().err == "error: p must be >= 1\n"
+    assert not out.exists()
+
+
 def first_generated_pair(n_areas, density, base_volume, seed):
     from odmwatch import SynthSpec, generate
 

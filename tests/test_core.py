@@ -79,6 +79,14 @@ def test_zero_counts_are_dropped():
     assert dict(m.cells()).get(("A", "B"), 0) == 0
 
 
+@pytest.mark.parametrize("counts", [(0, 5), (5, 0)], ids=["zero-first", "zero-last"])
+def test_duplicate_cell_rejected_in_either_order(counts):
+    # A zero count still names its cell, as in parse_rows: the pair may not repeat.
+    cells = [(("A", "B"), count) for count in counts]
+    with pytest.raises(ValueError, match=r"^duplicate cell \(A, B\)$"):
+        SparseOdm(W, cells)
+
+
 def test_negative_count_rejected():
     with pytest.raises(ValueError):
         SparseOdm(W, {("A", "B"): -1})
@@ -149,10 +157,12 @@ def test_public_api_resolves():
     # Report rows are plain tuples; the per-row object layer is gone.
     from odmwatch import detector
 
-    for name in ("KeyOutcome", "Signal", "FlowKey"):
+    for name in ("KeyOutcome", "Signal", "FlowKey", "HistoryQuery", "HistorySlice", "ThresholdSet"):
         assert not hasattr(odmwatch, name), name
         assert name not in odmwatch.__all__, name
     for name in ("KeyOutcome", "Signal", "_materialize_outcomes", "_outcome_row", "iter_outcome_rows"):
         assert not hasattr(detector, name), name
     assert "timings" not in {f.name for f in dataclasses.fields(detector.WindowReport)}
     assert not hasattr(odmwatch.core, "FlowKey")
+    assert not hasattr(odmwatch.store, "HistoryQuery") and not hasattr(odmwatch.store, "HistorySlice")
+    assert not hasattr(detector, "ThresholdSet")

@@ -24,7 +24,7 @@ from odmwatch import (
     run_window,
 )
 from odmwatch.detector import write_day_report_csv, write_day_report_jsonl, REPORT_COLUMNS
-from odmwatch.store import HistorySlice, HistoryStore
+from odmwatch.store import HistoryStore
 
 W = TimeWindow.full_day(BASE_DATE)
 
@@ -129,8 +129,7 @@ def flat_world(value=50, cells=20, special=("A", "B"), special_value=100):
 
 def history_slice(entries, p=4):
     dates = weekly_dates(p)
-    slots = tuple(SparseOdm(TimeWindow.full_day(d), entries) for d in dates)
-    return HistorySlice(dates, slots)
+    return tuple(SparseOdm(TimeWindow.full_day(d), entries) for d in dates)
 
 
 def test_stable_world_no_signals():
@@ -191,23 +190,20 @@ def test_vanished_cell_is_lower_signal():
 
 def test_all_missing_history_marks_everything():
     entries = flat_world()
-    slice_ = HistorySlice(weekly_dates(), (None,) * 4)
-    report = run_window(SparseOdm(W, entries), slice_, DetectorConfig())
+    report = run_window(SparseOdm(W, entries), (None,) * 4, DetectorConfig())
     assert report.summary["missing_data"] == report.summary["keys"]
     assert all(r["status"] == "missing_data" for r in map(row_fields, report.outcomes))
 
 
 def test_empty_everything_is_empty_report():
-    slice_ = HistorySlice(weekly_dates(), (None,) * 4)
-    report = run_window(SparseOdm(W, {}), slice_, DetectorConfig())
+    report = run_window(SparseOdm(W, {}), (None,) * 4, DetectorConfig())
     assert report.summary["keys"] == 0
     assert report.outcomes == []
 
 
 def test_output_ordering_kind_then_labels():
     entries = flat_world()
-    slice_ = HistorySlice(weekly_dates(), (None,) * 4)  # everything flagged
-    report = run_window(SparseOdm(W, entries), slice_, DetectorConfig())
+    report = run_window(SparseOdm(W, entries), (None,) * 4, DetectorConfig())  # all flagged
     rows = map(row_fields, report.outcomes)
     keys = [(r["kind"], r["origin"] or "", r["destination"] or "") for r in rows]
     assert keys == sorted(keys)
@@ -227,8 +223,7 @@ def test_partition_property():
         )
         for d in weekly_dates(3)
     ] + [None]
-    slice_ = HistorySlice(weekly_dates(4), tuple(hist))
-    report = run_window(current, slice_, DetectorConfig(th=5))
+    report = run_window(current, tuple(hist), DetectorConfig(th=5))
     s = report.summary
     assert s["keys"] == s["no_signal"] + s["signal"] + s["below_eligibility"] + s["missing_data"]
     assert s["signal"] == s["upper"] + s["lower"]
@@ -338,6 +333,28 @@ def test_missing_windows_from_profile(loaded_store):
     report = detect_day(loaded_store, "src", BASE_DATE, DetectorConfig())
     assert report.missing_windows == ["00:00:00-11:59:59", "12:00:00-23:59:59"]
     assert report.extra_windows == ["00:00:00-23:59:59"]
+
+
+@pytest.mark.parametrize(
+    "history,period",
+    [((None, 5_000_000_000), 2), ((10, 5_000_000_000), 2), ((5_000_000_000, None), 1)],
+    ids=["missing-then-big", "present-then-big", "big-then-missing"],
+)
+def test_engine_limit_names_the_period_that_holds_the_value(tmp_path, history, period):
+    # A missing period is left out of the engine's periods; the message must
+    # still name the date of the stored window that holds the value.
+    store = HistoryStore(tmp_path / "store", retention_days=None)
+    for date, count in zip(weekly_dates(len(history)), history):
+        if count is not None:
+            store.put_snapshot("src", SparseOdm(TimeWindow.full_day(date), {("A", "B"): count}))
+    current = SparseOdm(W, {("A", "B"): 10})
+    past = store.fetch_history("src", W, len(history))
+    with pytest.raises(ValueError) as excinfo:
+        run_window(current, past, DetectorConfig(), source_id="src")
+    day = BASE_DATE - dt.timedelta(days=7 * period)
+    assert str(excinfo.value).startswith(
+        f"source 'src', window 00:00:00-23:59:59, period {day}: cell value 5000000000 exceeds"
+    )
 
 
 def test_paper_literal_emits_no_lower(loaded_store):

@@ -13,7 +13,6 @@ import dense_oracle
 from helpers import cell_stats, series_values
 from odmwatch import SparseOdm, TimeWindow
 from odmwatch._engine import Columnar, evaluate_window
-from odmwatch.store import HistorySlice
 
 MONDAY = dt.date(2021, 6, 7)
 
@@ -49,20 +48,19 @@ def test_marginal_key_stats():
         TimeWindow.full_day(dates[0]), {("A", "B"): 10, ("C", "B"): 5, ("B", "B"): 99}
     )
     current = SparseOdm(TimeWindow.full_day(MONDAY), {})
-    _, ma = series_values(current, HistorySlice(dates, (m,)))[("inbound", None, "B")]
+    _, ma = series_values(current, [m])[("inbound", None, "B")]
     assert ma == 15.0
 
 
-def universe(current, slice_):
+def universe(current, history):
     """The window's monitored series, in report order."""
-    return list(series_values(current, slice_))
+    return list(series_values(current, history))
 
 
 def test_key_universe_union():
     current = SparseOdm(TimeWindow.full_day(MONDAY), {("A", "B"): 1})
     past = SparseOdm(TimeWindow.full_day(MONDAY - dt.timedelta(days=7)), {("A", "C"): 2})
-    slice_ = HistorySlice((past.window.date,), (past,))
-    assert set(universe(current, slice_)) == {
+    assert set(universe(current, [past])) == {
         ("cell", "A", "B"),
         ("cell", "A", "C"),
         ("outbound", "A", None),
@@ -73,14 +71,12 @@ def test_key_universe_union():
 
 def test_key_universe_empty():
     current = SparseOdm(TimeWindow.full_day(MONDAY), {})
-    slice_ = HistorySlice((MONDAY - dt.timedelta(days=7),), (None,))
-    assert universe(current, slice_) == []
+    assert universe(current, [None]) == []
 
 
 def test_key_universe_diagonal_only():
     current = SparseOdm(TimeWindow.full_day(MONDAY), {("A", "A"): 5})
-    slice_ = HistorySlice((MONDAY - dt.timedelta(days=7),), (None,))
-    assert set(universe(current, slice_)) == {
+    assert set(universe(current, [None])) == {
         ("cell", "A", "A"),
         ("outbound", "A", None),
         ("inbound", None, "A"),
@@ -91,8 +87,7 @@ def test_key_universe_is_sorted():
     current = SparseOdm(
         TimeWindow.full_day(MONDAY), {("B", "A"): 1, ("A", "B"): 1, ("A", "A"): 1}
     )
-    slice_ = HistorySlice((MONDAY - dt.timedelta(days=7),), (None,))
-    keys = universe(current, slice_)
+    keys = universe(current, [None])
     # Kind names sort cell < inbound < outbound, the report order; within a
     # kind, series sort by area labels.
     assert keys == sorted(keys, key=lambda k: (k[0], k[1] or "", k[2] or ""))
@@ -149,7 +144,7 @@ def test_marginalize_then_average_equals_average_then_marginalize():
     m1 = SparseOdm(TimeWindow.full_day(dates[0]), {("A", "B"): 10, ("C", "B"): 2})
     m2 = SparseOdm(TimeWindow.full_day(dates[1]), {("A", "B"): 20, ("B", "B"): 9})
     current = SparseOdm(TimeWindow.full_day(MONDAY), {})
-    _, ma = series_values(current, HistorySlice(dates, (m1, m2)))[("inbound", None, "B")]
+    _, ma = series_values(current, [m1, m2])[("inbound", None, "B")]
     per_date = [series_values(m)[("inbound", None, "B")][0] for m in (m1, m2)]
     assert ma == sum(per_date) / 2
     mean_matrix_marginal = (10 + 2 + 20) / 2

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,10 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import odmwatch
-from odmwatch import HistoryQuery, HistoryStore, SparseOdm, TimeWindow
+from odmwatch import HistoryStore, SparseOdm, TimeWindow
 from odmwatch import store as store_module
 from odmwatch.ingestion import SourceProfile, parse_rows, write_snapshots_csv
-from odmwatch.store import StoreError, retention_for
+from odmwatch.store import StoreError, history_dates, retention_for
 
 MONDAY = dt.date(2021, 6, 7)
 HEADER = b"date,start,end,origin,destination,count\n"
@@ -74,37 +75,34 @@ def test_fetch_history_weekly_complete(store):
     m = snap(MONDAY, {("A", "B"): 5})
     for k in range(1, 5):
         store.put_snapshot("src", snap(MONDAY - dt.timedelta(days=7 * k), {("A", "B"): k}))
-    slice_ = store.fetch_history(HistoryQuery("src", m.window, p=4, stride="weekly"))
-    assert slice_.p == 4
-    assert slice_.available == 4
-    assert [dict(s.cells())[("A", "B")] for s in slice_.slots] == [1, 2, 3, 4]
-    assert all(d.weekday() == MONDAY.weekday() for d in slice_.dates)
+    history = store.fetch_history("src", m.window, p=4, stride="weekly")
+    assert len(history) == 4
+    assert sum(s is not None for s in history) == 4
+    assert [dict(s.cells())[("A", "B")] for s in history] == [1, 2, 3, 4]
+    assert all(s.window.date.weekday() == MONDAY.weekday() for s in history)
 
 
 def test_fetch_history_partial(store):
     m = snap(MONDAY, {("A", "B"): 5})
     store.put_snapshot("src", snap(MONDAY - dt.timedelta(days=7), {("A", "B"): 1}))
     store.put_snapshot("src", snap(MONDAY - dt.timedelta(days=21), {("A", "B"): 3}))
-    slice_ = store.fetch_history(HistoryQuery("src", m.window, p=4, stride="weekly"))
-    assert slice_.available == 2
-    assert slice_.slots[1] is None and slice_.slots[3] is None
+    history = store.fetch_history("src", m.window, p=4, stride="weekly")
+    assert sum(s is not None for s in history) == 2
+    assert history[1] is None and history[3] is None
 
 
 def test_fetch_history_all_missing(store):
-    slice_ = store.fetch_history(
-        HistoryQuery("src", TimeWindow.full_day(MONDAY), p=4, stride="weekly")
-    )
-    assert slice_.available == 0
-    assert list(slice_.slots) == [None] * 4
+    history = store.fetch_history("src", TimeWindow.full_day(MONDAY), p=4, stride="weekly")
+    assert history == [None] * 4
 
 
 def test_fetch_history_daily_stride(store):
     m = snap(MONDAY, {("A", "B"): 5})
     for k in range(1, 4):
         store.put_snapshot("src", snap(MONDAY - dt.timedelta(days=k), {("A", "B"): k}))
-    slice_ = store.fetch_history(HistoryQuery("src", m.window, p=3, stride="daily"))
-    assert [dict(s.cells())[("A", "B")] for s in slice_.slots] == [1, 2, 3]
-    assert slice_.dates == tuple(MONDAY - dt.timedelta(days=k) for k in (1, 2, 3))
+    history = store.fetch_history("src", m.window, p=3, stride="daily")
+    assert [dict(s.cells())[("A", "B")] for s in history] == [1, 2, 3]
+    assert [s.window.date for s in history] == [MONDAY - dt.timedelta(days=k) for k in (1, 2, 3)]
 
 
 def test_fetch_history_matches_window_times(store):
@@ -116,8 +114,27 @@ def test_fetch_history_matches_window_times(store):
         dt.time(23, 59, 59),
     )
     store.put_snapshot("src", past_evening)
-    slice_ = store.fetch_history(HistoryQuery("src", morning.window, p=1, stride="weekly"))
-    assert slice_.available == 0  # same date but different window times
+    history = store.fetch_history("src", morning.window, p=1, stride="weekly")
+    assert history == [None]  # same date but different window times
+
+
+def test_history_dates():
+    assert history_dates(MONDAY, 2, "weekly") == [dt.date(2021, 5, 31), dt.date(2021, 5, 24)]
+    assert history_dates(MONDAY, 2, "daily") == [dt.date(2021, 6, 6), dt.date(2021, 6, 5)]
+
+
+@pytest.mark.parametrize(
+    "p,stride,message",
+    [
+        (0, "weekly", "p must be >= 1"),
+        (1, "monthly", "stride must be one of ['daily', 'weekly']"),
+    ],
+)
+def test_history_dates_rejects_bad_arguments(store, p, stride, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        history_dates(MONDAY, p, stride)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        store.fetch_history("src", TimeWindow.full_day(MONDAY), p, stride)
 
 
 def test_profile_round_trip(store):
