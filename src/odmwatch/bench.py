@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._engine import Columnar, evaluate_window
+from .detector import DetectorConfig
 from .synth import sample_distinct_codes
 
 
@@ -50,14 +51,7 @@ class BenchResult:
 
 
 def run_bench(
-    areas: int,
-    nonzeros: int,
-    windows: int = 25,
-    p: int = 4,
-    th: int = 20,
-    quantile: float = 0.75,
-    bounds_mode: str = "clamped",
-    seed: int = 0,
+    areas: int, nonzeros: int, windows: int, config: DetectorConfig, seed: int
 ) -> BenchResult:
     """Time one full date's detection at the requested scale."""
     stages = {"stats": 0.0, "threshold": 0.0, "detect": 0.0}
@@ -70,14 +64,14 @@ def run_bench(
         codes = sample_distinct_codes(rng, areas * areas, nonzeros)
         # Per-date values: stable cell set, independently jittered volumes.
         matrices = []
-        for k in range(p + 1):
+        for k in range(config.p + 1):
             vals_rng = np.random.default_rng([seed, 13, w, k])
-            values = vals_rng.integers(th, th + 201, size=nonzeros, dtype=np.int64)
+            values = vals_rng.integers(config.th, config.th + 201, size=nonzeros, dtype=np.int64)
             matrices.append(Columnar(codes, values))
         generation += time.perf_counter() - t0
 
         evaluation = evaluate_window(
-            matrices[0], matrices[1:], areas, th, quantile, bounds_mode
+            matrices[0], matrices[1:], areas, config.th, config.quantile, config.bounds_mode
         )
         for stage, seconds in evaluation.timings.items():
             stages[stage] += seconds
@@ -88,7 +82,7 @@ def run_bench(
         areas=areas,
         nonzeros=nonzeros,
         windows=windows,
-        p=p,
+        p=config.p,
         generation_s=generation,
         stages_s=stages,
         summary=summary,

@@ -2,23 +2,22 @@
 
 Exit codes: 0 success; 1 parse or storage error; 2 ingest finished but
 validation found missing/extra windows; 3 the detected date has no stored
-windows at all. Configuration precedence is flags > config file > defaults,
-with defaults matching the reference parameterization (th=20, p=4,
-quantile=0.75).
+windows at all. Configuration precedence is flags > config file > the
+defaults of ``DetectorConfig`` and ``RunConfig``.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime as dt
 import logging
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .bench import run_bench
 from .detector import (
+    BOUNDS_MODES,
     DetectorConfig,
     detect_day,
     write_day_report_csv,
@@ -31,7 +30,7 @@ from .ingestion import (
     parse_file,
     validate_day,
 )
-from .store import HistoryStore, StoreError, atomic_open, retention_for
+from .store import STRIDE_DAYS, HistoryStore, StoreError, atomic_open, retention_for
 from .synth import SynthSpecError, generate, load_spec_file, write_generated
 
 logger = logging.getLogger("odmwatch")
@@ -41,23 +40,24 @@ EXIT_ERROR = 1
 EXIT_VALIDATION = 2
 EXIT_MISSING_DATE = 3
 
+REPORT_FORMATS = ("jsonl", "csv")
+_DETECTOR_KEYS = {f.name for f in fields(DetectorConfig)}
 
-@dataclass
+
+@dataclass(frozen=True)
 class RunConfig:
-    th: int = 20
-    p: int = 4
-    quantile: float = 0.75
-    stride: str = "weekly"
-    bounds_mode: str = "clamped"
+    detector: DetectorConfig = field(default_factory=DetectorConfig)
     store_root: Path = Path("odmwatch-store")
     output: Path = Path("report.jsonl")
     format: str = "jsonl"
 
-    def detector(self) -> DetectorConfig:
-        return DetectorConfig(th=self.th, quantile=self.quantile, bounds_mode=self.bounds_mode)
+    def __post_init__(self) -> None:
+        if self.format not in REPORT_FORMATS:
+            raise ValueError(f"format must be one of {REPORT_FORMATS}, got {self.format!r}")
 
     def open_store(self) -> HistoryStore:
-        return HistoryStore(self.store_root, retention_days=retention_for(self.p, self.stride))
+        retention = retention_for(self.detector.p, self.detector.stride)
+        return HistoryStore(self.store_root, retention_days=retention)
 
 
 _CONFIG_PARSERS = {
@@ -99,20 +99,13 @@ def load_config_file(path: Path) -> dict:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig()
-    if getattr(args, "config", None):
-        for key, value in load_config_file(Path(args.config)).items():
-            setattr(config, key, value)
-    for field in dataclasses.fields(RunConfig):
-        flag = getattr(args, field.name, None)
+    values = load_config_file(Path(args.config)) if getattr(args, "config", None) else {}
+    for key in _CONFIG_PARSERS:
+        flag = getattr(args, key, None)
         if flag is not None:
-            setattr(config, field.name, flag)
-    if config.stride not in ("daily", "weekly"):
-        raise ValueError(f"stride must be daily or weekly, got {config.stride!r}")
-    if config.format not in ("jsonl", "csv"):
-        raise ValueError(f"format must be jsonl or csv, got {config.format!r}")
-    config.detector()  # validates th / quantile / bounds_mode
-    return config
+            values[key] = flag
+    detector = DetectorConfig(**{k: values.pop(k) for k in _DETECTOR_KEYS & values.keys()})
+    return RunConfig(detector=detector, **values)
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -164,14 +157,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         raise ValueError(f"bad --date {args.date!r}: {exc}") from None
     store = config.open_store()
     try:
-        report = detect_day(
-            store,
-            args.source,
-            date,
-            config.detector(),
-            p=config.p,
-            stride=config.stride,
-        )
+        report = detect_day(store, args.source, date, config.detector)
     except (StoreError, OdmParseError, OdmIntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -218,18 +204,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     config = build_config(args)
     nonzeros = args.nonzeros
     if nonzeros is None:
-        density = args.density if args.density is not None else 0.05
-        nonzeros = max(1, round(density * args.areas * args.areas))
-    result = run_bench(
-        areas=args.areas,
-        nonzeros=nonzeros,
-        windows=args.windows,
-        p=config.p,
-        th=config.th,
-        quantile=config.quantile,
-        bounds_mode=config.bounds_mode,
-        seed=args.seed,
-    )
+        nonzeros = max(1, round(0.05 * args.areas * args.areas))
+    result = run_bench(args.areas, nonzeros, args.windows, config.detector, args.seed)
     for line in result.lines():
         print(line)
     return EXIT_OK
@@ -241,19 +217,22 @@ def _add_config_flags(
     """The config-file flag, --p, and the flags of the detector parameters
     and of the store that a command uses."""
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--p", type=int, help="rolling window length (default 4)")
+    defaults = DetectorConfig()
+    parser.add_argument("--p", type=int, help=f"rolling window length (default {defaults.p})")
     if detector:
-        parser.add_argument("--th", type=int, help="eligibility threshold (default 20)")
-        parser.add_argument("--quantile", type=float, help="daily quantile level (default 0.75)")
+        parser.add_argument("--th", type=int, help=f"eligibility threshold (default {defaults.th})")
+        parser.add_argument(
+            "--quantile", type=float, help=f"daily quantile level (default {defaults.quantile})"
+        )
         parser.add_argument(
             "--bounds-mode",
             dest="bounds_mode",
-            choices=("clamped", "paper_literal"),
-            help="lower-bound handling (default clamped)",
+            choices=BOUNDS_MODES,
+            help=f"lower-bound handling (default {defaults.bounds_mode})",
         )
     if store:
         parser.add_argument(
-            "--stride", choices=("daily", "weekly"), help="history stride (default weekly)"
+            "--stride", choices=STRIDE_DAYS, help=f"history stride (default {defaults.stride})"
         )
         parser.add_argument(
             "--store-root", dest="store_root", type=Path, help="snapshot store directory"
@@ -285,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--source", required=True)
     p_detect.add_argument("--date", required=True, help="YYYY-MM-DD")
     p_detect.add_argument("--output", type=Path, help="report file (default report.jsonl)")
-    p_detect.add_argument("--format", choices=("jsonl", "csv"), help="report format")
+    p_detect.add_argument("--format", choices=REPORT_FORMATS, help="report format")
     _add_config_flags(p_detect)
     p_detect.set_defaults(func=cmd_detect)
 
@@ -296,8 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="time detection on an in-memory workload")
     p_bench.add_argument("--areas", type=int, default=1000)
-    p_bench.add_argument("--nonzeros", type=int, help="nonzero cells per window")
-    p_bench.add_argument("--density", type=float, help="alternative to --nonzeros")
+    p_bench.add_argument(
+        "--nonzeros", type=int, help="nonzero cells per window (default 5%% of areas squared)"
+    )
     p_bench.add_argument("--windows", type=int, default=25)
     p_bench.add_argument("--seed", type=int, default=0)
     _add_config_flags(p_bench, store=False)

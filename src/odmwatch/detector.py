@@ -19,7 +19,7 @@ import datetime as dt
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from pathlib import Path
 from typing import IO, Iterator, Sequence
@@ -29,7 +29,7 @@ import numpy as np
 from . import _engine
 from .core import SparseOdm, TimeWindow
 from .ingestion import window_gaps
-from .store import HistoryStore, atomic_open, history_dates
+from .store import STRIDE_DAYS, HistoryStore, atomic_open, history_dates
 
 BOUNDS_MODES = ("clamped", "paper_literal")
 
@@ -61,19 +61,27 @@ _STATUS_NAMES = np.array(
 _DIRECTION_NAMES = np.array([None, "upper", "lower"], dtype=object)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DetectorConfig:
-    """The three tuning parameters plus the lower-bound mode."""
+    """The five detection parameters, in the report header's order: the
+    eligibility threshold th, the window length p, the daily quantile, the
+    history stride and the lower-bound mode."""
 
     th: int = 20
+    p: int = 4
     quantile: float = 0.75
+    stride: str = "weekly"
     bounds_mode: str = "clamped"
 
     def __post_init__(self) -> None:
         if self.th < 0:
             raise ValueError("th must be >= 0")
+        if self.p < 1:
+            raise ValueError("p must be >= 1")
         if not 0.0 < self.quantile < 1.0:
             raise ValueError("quantile must be in (0, 1)")
+        if self.stride not in STRIDE_DAYS:
+            raise ValueError(f"stride must be one of {sorted(STRIDE_DAYS)}, got {self.stride!r}")
         if self.bounds_mode not in BOUNDS_MODES:
             raise ValueError(f"bounds_mode must be one of {BOUNDS_MODES}")
 
@@ -100,8 +108,6 @@ class DayReport:
     source_id: str
     date: dt.date
     config: DetectorConfig
-    p: int
-    stride: str
     window_reports: list[WindowReport]
     missing_windows: list[str] = field(default_factory=list)
     extra_windows: list[str] = field(default_factory=list)
@@ -225,15 +231,10 @@ def _day_input_digest(store: HistoryStore, source_id: str, dates: list[dt.date])
 
 
 def detect_day(
-    store: HistoryStore,
-    source_id: str,
-    date: dt.date,
-    config: DetectorConfig,
-    p: int = 4,
-    stride: str = "weekly",
+    store: HistoryStore, source_id: str, date: dt.date, config: DetectorConfig
 ) -> DayReport:
     """Run every stored window of a date through the detector, in start order."""
-    past_dates = history_dates(date, p, stride)
+    past_dates = history_dates(date, config.p, config.stride)
     windows = store.windows_for(source_id, date)
     profile = store.get_profile(source_id)
     missing: list[str] = []
@@ -246,15 +247,13 @@ def detect_day(
         current = store.get_snapshot(source_id, window)
         if current is None:
             raise RuntimeError(f"window {window} disappeared from the store")
-        history = store.fetch_history(source_id, window, p, stride)
+        history = store.fetch_history(source_id, window, config.p, config.stride)
         reports.append(run_window(current, history, config, source_id=source_id))
 
     return DayReport(
         source_id=source_id,
         date=date,
         config=config,
-        p=p,
-        stride=stride,
         window_reports=reports,
         missing_windows=missing,
         extra_windows=extra,
@@ -270,13 +269,7 @@ def _report_header(report: DayReport) -> dict:
         "record": "header",
         "source": report.source_id,
         "date": report.date.isoformat(),
-        "config": {
-            "th": report.config.th,
-            "p": report.p,
-            "quantile": report.config.quantile,
-            "stride": report.stride,
-            "bounds_mode": report.config.bounds_mode,
-        },
+        "config": asdict(report.config),
         "input_digest": report.input_digest,
         "windows": [
             {

@@ -202,7 +202,7 @@ class HistoryStore:
         return [w for w in self._stored_windows(source_id) if w.date == date]
 
     def fetch_history(
-        self, source_id: str, window: TimeWindow, p: int, stride: str = "weekly"
+        self, source_id: str, window: TimeWindow, p: int, stride: str
     ) -> list[SparseOdm | None]:
         """The window's snapshots on its p ``history_dates``, newest first,
         with the same start and end times. An absent snapshot is ``None``,

@@ -23,7 +23,9 @@ import numpy as np
 
 from ._engine import distinct_sorted
 from .core import SparseOdm, TimeWindow
+from .detector import DetectorConfig
 from .ingestion import canonical_windows, write_snapshots_csv
+from .store import STRIDE_DAYS
 
 
 class SynthSpecError(ValueError):
@@ -291,7 +293,8 @@ def load_spec_file(path: str | Path) -> tuple[SynthSpec, dt.date, int, int]:
     """Parse a generation spec JSON file.
 
     Returns (spec, start_date, days, warmup_days). ``warmup`` may be given
-    as explicit days or as {"p": ..., "stride": "daily"|"weekly"}.
+    as explicit days or as {"p": ..., "stride": ...}, a ``STRIDE_DAYS`` name;
+    either key left out takes the ``DetectorConfig`` default.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -316,10 +319,14 @@ def load_spec_file(path: str | Path) -> tuple[SynthSpec, dt.date, int, int]:
         )
         start = dt.date.fromisoformat(data["start_date"])
         days = int(data["days"])
-        warmup = data.get("warmup", {"p": 4, "stride": "weekly"})
+        warmup = data.get("warmup", {})
         if isinstance(warmup, dict):
-            stride_days = {"daily": 1, "weekly": 7}[warmup.get("stride", "weekly")]
-            warmup_days = int(warmup.get("p", 4)) * stride_days
+            defaults = DetectorConfig()
+            stride = warmup.get("stride", defaults.stride)
+            if stride not in STRIDE_DAYS:
+                allowed = sorted(STRIDE_DAYS)
+                raise ValueError(f"warmup stride must be one of {allowed}, got {stride!r}")
+            warmup_days = int(warmup.get("p", defaults.p)) * STRIDE_DAYS[stride]
         else:
             warmup_days = int(warmup)
     except (KeyError, TypeError, ValueError) as exc:

@@ -45,7 +45,7 @@ def ok(line: str) -> None:
 
 
 def test_parameter_fidelity():
-    config = RunConfig()
+    config = RunConfig().detector
     assert (config.th, config.p, config.quantile) == (20, 4, 0.75)
     assert config.stride == "weekly"
     assert config.bounds_mode == "clamped"
@@ -293,12 +293,16 @@ def test_paper_literal_never_emits_lower(anomaly_world):
 
 
 def test_scale_performance():
-    full = run_bench(areas=10_000, nonzeros=1_000_000, windows=25, p=4)
+    full = run_bench(
+        areas=10_000, nonzeros=1_000_000, windows=25, config=DetectorConfig(p=4), seed=0
+    )
     assert full.detection_total_s < 60.0, (
         f"full-scale detection took {full.detection_total_s:.1f}s (limit 60s)"
     )
 
-    half = run_bench(areas=10_000, nonzeros=500_000, windows=25, p=4)
+    half = run_bench(
+        areas=10_000, nonzeros=500_000, windows=25, config=DetectorConfig(p=4), seed=0
+    )
     # Doubling the nonzeros may at most ~double each stage, within 25%.
     for stage in ("stats", "threshold", "detect"):
         full_s = full.stages_s[stage]

@@ -1,9 +1,11 @@
+import argparse
+import dataclasses
 import datetime as dt
 import json
 
 import pytest
 
-from odmwatch import cli
+from odmwatch import DetectorConfig, cli
 from odmwatch.cli import main
 from odmwatch.ingestion import canonical_windows
 
@@ -396,8 +398,16 @@ def test_workers_option_is_gone(synthetic_store, tmp_path, capsys):
         ["ingest", "in.csv", "--source", "mno", "--bounds-mode", "paper_literal"],
         ["bench", "--areas", "10", "--nonzeros", "40", "--stride", "daily"],
         ["bench", "--areas", "10", "--nonzeros", "40", "--store-root", "store"],
+        ["bench", "--areas", "10", "--density", "0.5"],
     ],
-    ids=["ingest-th", "ingest-quantile", "ingest-bounds-mode", "bench-stride", "bench-store-root"],
+    ids=[
+        "ingest-th",
+        "ingest-quantile",
+        "ingest-bounds-mode",
+        "bench-stride",
+        "bench-store-root",
+        "bench-density",
+    ],
 )
 def test_unused_flags_are_gone(tmp_path, capsys, argv):
     # ingest stores no detector parameter and bench reads no store, so they
@@ -422,6 +432,30 @@ def test_ingest_accepts_a_shared_config_file(tmp_path, capsys):
     path = day_csv(tmp_path, MONDAY, per_day=1)
     assert main(["ingest", str(path), "--source", "mno", "--config", str(config)]) == 0
     assert (store_root / "mno" / f"{MONDAY}_000000-235959.csv").exists()
+
+
+def test_every_config_key_reaches_the_run_config(tmp_path):
+    # A key that is parsed must land in RunConfig or its DetectorConfig; each
+    # value differs from the default, so a dropped key shows.
+    values = {
+        "th": "5",
+        "p": "3",
+        "quantile": "0.5",
+        "stride": "daily",
+        "bounds_mode": "paper_literal",
+        "store_root": str(tmp_path / "store"),
+        "output": str(tmp_path / "r.csv"),
+        "format": "csv",
+    }
+    assert values.keys() == cli._CONFIG_PARSERS.keys()
+    path = tmp_path / "odmwatch.conf"
+    path.write_text("".join(f"{k}={v}\n" for k, v in values.items()), encoding="utf-8")
+    config = cli.build_config(argparse.Namespace(config=str(path)))
+    default = cli.RunConfig()
+    detector_keys = {f.name for f in dataclasses.fields(DetectorConfig)}
+    for key, text in values.items():
+        got, base = (config.detector, default.detector) if key in detector_keys else (config, default)
+        assert getattr(got, key) == cli._CONFIG_PARSERS[key](text) != getattr(base, key), key
 
 
 @pytest.mark.parametrize(
@@ -457,6 +491,26 @@ def test_detect_p_zero_exits_one(synthetic_store, tmp_path, capsys):
     assert main(argv + ["--store-root", str(synthetic_store)]) == 1
     assert capsys.readouterr().err == "error: p must be >= 1\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--areas", "10", "--nonzeros", "40", "--windows", "1", "--p", "-1"],
+        ["bench", "--areas", "10", "--nonzeros", "40", "--windows", "1", "--p", "0"],
+        ["ingest", "in.csv", "--source", "mno", "--p", "0", "--store-root", "store"],
+    ],
+    ids=["bench-minus-one", "bench-zero", "ingest-zero"],
+)
+def test_p_below_one_exits_one(tmp_path, capsys, argv):
+    # p is checked with the other detection parameters before a command
+    # does any work: bench times nothing and ingest stores nothing.
+    day_csv(tmp_path, MONDAY, per_day=1, name="in.csv")
+    argv = [str(tmp_path / a) if a in ("in.csv", "store") else a for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: p must be >= 1\n")
+    assert not (tmp_path / "store").exists()
 
 
 def first_generated_pair(n_areas, density, base_volume, seed):
@@ -519,6 +573,26 @@ def test_generate_rejects_warmup_anomaly(tmp_path, capsys):
     spec_path.write_text(json.dumps(spec), encoding="utf-8")
     assert main(["generate", str(spec_path), str(tmp_path / "out")]) == 1
     assert "warm-up" in capsys.readouterr().err
+
+
+def test_generate_rejects_unknown_warmup_stride(tmp_path, capsys):
+    spec = {
+        "n_areas": 8,
+        "density": 0.5,
+        "base_volume": 60,
+        "start_date": "2021-06-07",
+        "days": 30,
+        "warmup": {"p": 4, "stride": "monthly"},
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["generate", str(spec_path), str(out_dir)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: bad spec file {spec_path}: "
+        "warmup stride must be one of ['daily', 'weekly'], got 'monthly'\n"
+    )
+    assert not out_dir.exists()
 
 
 def test_generate_deterministic(tmp_path, capsys):

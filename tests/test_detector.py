@@ -348,7 +348,7 @@ def test_engine_limit_names_the_period_that_holds_the_value(tmp_path, history, p
         if count is not None:
             store.put_snapshot("src", SparseOdm(TimeWindow.full_day(date), {("A", "B"): count}))
     current = SparseOdm(W, {("A", "B"): 10})
-    past = store.fetch_history("src", W, len(history))
+    past = store.fetch_history("src", W, len(history), "weekly")
     with pytest.raises(ValueError) as excinfo:
         run_window(current, past, DetectorConfig(), source_id="src")
     day = BASE_DATE - dt.timedelta(days=7 * period)
