@@ -126,21 +126,22 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {path}: {getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
         return EXIT_ERROR
-    snapshots = list(by_window.values())
+    days: dict[dt.date, list] = {}
+    for snapshot in by_window.values():
+        days.setdefault(snapshot.window.date, []).append(snapshot)
+    dates = sorted(days)
 
     try:
         store.put_profile(profile)
-        for snapshot in snapshots:
-            store.put_snapshot(args.source, snapshot)
+        for date in dates:  # one commit per date
+            store.put_snapshot(args.source, *days[date])
     except (StoreError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
     status = EXIT_OK
-    dates = sorted({m.window.date for m in snapshots})
     for date in dates:
-        day = [m for m in snapshots if m.window.date == date]
-        report = validate_day(day, profile, date)
+        report = validate_day(days[date], profile, date)
         print(report.to_json())
         if not report.clean:
             status = EXIT_VALIDATION

@@ -100,6 +100,15 @@ class SparseOdm:
         matrix._build(window, names, origins, dests, counts)
         return matrix
 
+    @classmethod
+    def from_columns(cls, window: TimeWindow, labels: Sequence[AreaId], codes, counts):
+        """Wrap columns already in this form, unchecked: sorted labels, each used
+        by a cell; strictly increasing int64 codes below ``len(labels)**2``;
+        int64 counts > 0."""
+        matrix = object.__new__(cls)
+        matrix._assign(window, tuple(labels), codes, counts)
+        return matrix
+
     def _build(self, window, names, origins, dests, counts) -> None:
         origins = np.asarray(origins, dtype=np.int64)
         dests = np.asarray(dests, dtype=np.int64)
@@ -110,11 +119,12 @@ class SparseOdm:
         rank[used] = np.arange(len(used))
         codes = rank[origins] * len(used) + rank[dests]
         order = np.argsort(codes)
-        self.window = window
-        self.labels = tuple(names[i] for i in used)
-        self.codes = codes[order]
-        self.counts = np.asarray(counts, dtype=np.int64)[order]
-        self.codes.flags.writeable = self.counts.flags.writeable = False
+        counts = np.asarray(counts, dtype=np.int64)[order]
+        self._assign(window, tuple(names[i] for i in used), codes[order], counts)
+
+    def _assign(self, window, labels, codes, counts) -> None:
+        self.window, self.labels, self.codes, self.counts = window, labels, codes, counts
+        codes.flags.writeable = counts.flags.writeable = False
 
     def cells(self) -> Iterator[tuple[tuple[AreaId, AreaId], int]]:
         """``((origin, destination), count)`` per nonzero cell, pairs in sorted order."""

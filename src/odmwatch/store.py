@@ -1,36 +1,55 @@
 """File-backed store of ODM snapshots across runs.
 
-Layout: one CSV per stored window, ``<source>/<YYYY-MM-DD>_<HHMMSS>-<HHMMSS>.csv``,
-in the ingestion format (header, then the window's nonzero cells in code
-order); an all-zero window is a header-only file. The directory listing is
-the index: a name of any other form is an error, so history written in
-another layout never reads as absent. Each write is atomic (temp file +
-rename), so a reader concurrent with a writer, or after a crash, sees
-either the old or the new window file, never a torn one.
+Layout: one file per stored date, ``<source>/<YYYY-MM-DD>.odm``. Line 1 is a
+UTF-8 JSON header (ASCII, padded with spaces so the arrays start 8-byte
+aligned) holding the ``format``, the ``date``, the ``windows`` in (start,
+end) order, each with its ``start`` and ``end`` (``HH:MM:SS``), sorted
+``labels`` and number of ``cells``, then ``sha256``, the hash of the array
+section, and ``csv_sha256``, the date's audit digest (SHA-256 of the date's
+windows written as one ingestion-format CSV). After the newline comes the
+array section: per window, its cells' little-endian int64 codes, then their
+counts. An all-zero window has no labels and no cells.
+
+Storing windows merges them over the date's stored windows and commits the
+whole date with one atomic rename (temp file, fsync, rename), so a reader
+concurrent with a writer, or after a crash, sees each date either old or
+new, never torn or mixed. Every read checks the header's shape, the array
+lengths against the file size and the payload hash; a read that returns a
+window's snapshot also checks its labels (sorted, unique, non-empty, each
+used), codes (strictly increasing, below ``len(labels)**2``) and counts
+(> 0). A failed check raises ``StoreError`` naming the file and the reason;
+the date must then be re-ingested. A source directory holds only
+``profile.json``, hidden temp files and date files: any other name, such as
+a per-window CSV of an older layout, is an error asking for a re-ingest, so
+history written in another layout never reads as absent.
 """
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import hashlib
+import io
 import json
 import logging
+import operator
 import os
 import re
 import secrets
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Callable, Iterator, Sequence
+
+import numpy as np
 
 from .core import SparseOdm, TimeWindow
-from .ingestion import CSV_COLUMNS, SourceProfile, iter_csv_rows, parse_rows, write_snapshots_csv
+from .ingestion import SourceProfile, write_snapshots_csv
 
 logger = logging.getLogger(__name__)
 
 STRIDE_DAYS = {"daily": 1, "weekly": 7}
-_WINDOW_FILE = re.compile(r"^(\d{4}-\d{2}-\d{2})_(\d{6})-(\d{6})\.csv$")
-_HEADER = (",".join(CSV_COLUMNS) + "\n").encode("utf-8")
+FORMAT = 1
+_DATE_FILE = re.compile(r"^(\d{4}-\d{2}-\d{2})\.odm$")
+_INT64 = np.dtype("<i8")
 
 
 def history_dates(date: dt.date, p: int, stride: str) -> list[dt.date]:
@@ -51,12 +70,11 @@ class StoreError(OSError):
 
 
 class HistoryStore:
-    """Window-granular snapshot store rooted at a directory.
+    """Date-granular snapshot store rooted at a directory.
 
-    Single-writer per stored window is assumed; readers are unlimited.
+    Single-writer per source is assumed; readers are unlimited.
     ``retention_days`` bounds how far behind the newest stored date the
-    window files of old dates are kept (pruned on write); ``None`` disables
-    pruning.
+    files of old dates are kept (pruned on write); ``None`` disables pruning.
     """
 
     def __init__(self, root: str | Path, retention_days: int | None = 35) -> None:
@@ -71,20 +89,11 @@ class HistoryStore:
             raise ValueError(f"bad source id {source_id!r}")
         return self.root / source_id
 
-    def _window_path(self, source_id: str, window: TimeWindow) -> Path:
-        """The window's file; ``ValueError`` for times a file name cannot
-        hold (fractional seconds or a time zone)."""
-        for t in (window.start, window.end):
-            if t.microsecond or t.tzinfo is not None:
-                raise ValueError(
-                    f"cannot store {source_id}/{window.date}: window {window.times_key()} "
-                    "needs whole-second times without a time zone"
-                )
-        name = f"{window.date.isoformat()}_{window.start:%H%M%S}-{window.end:%H%M%S}.csv"
-        return self._source_dir(source_id) / name
+    def _date_path(self, source_id: str, date: dt.date) -> Path:
+        return self._source_dir(source_id) / f"{date.isoformat()}.odm"
 
-    def _stored_windows(self, source_id: str) -> list[TimeWindow]:
-        """Every stored window of a source, sorted, read from the file names.
+    def dates_for(self, source_id: str) -> list[dt.date]:
+        """Every stored date of a source, sorted, read from the file names.
 
         Hidden temp files and ``profile.json`` are skipped; any other name
         raises ``StoreError`` naming the file.
@@ -92,24 +101,21 @@ class HistoryStore:
         directory = self._source_dir(source_id)
         if not directory.is_dir():
             return []
-        windows = []
+        dates = []
         for path in directory.iterdir():
             if path.name.startswith(".") or path.name == "profile.json":
                 continue
-            match = _WINDOW_FILE.match(path.name)
+            match = _DATE_FILE.match(path.name)
             try:
                 if match is None:
-                    raise ValueError("not a window file name")
-                date, start, end = match.groups()
-                windows.append(
-                    TimeWindow(dt.date.fromisoformat(date), _hhmmss(start), _hhmmss(end))
-                )
+                    raise ValueError("not a date file name")
+                dates.append(dt.date.fromisoformat(match.group(1)))
             except ValueError as exc:
                 raise StoreError(
                     f"unexpected file {path} in the store ({exc}); it may hold history "
                     "in an older layout: re-ingest the source into a new store root"
                 ) from None
-        return sorted(windows)
+        return sorted(dates)
 
     # -- profiles ------------------------------------------------------
 
@@ -148,58 +154,53 @@ class HistoryStore:
 
     # -- snapshots -----------------------------------------------------
 
-    def put_snapshot(self, source_id: str, snapshot: SparseOdm) -> None:
-        """Persist one snapshot; an existing same-window snapshot is replaced.
+    def put_snapshot(self, source_id: str, snapshot: SparseOdm, *more: SparseOdm) -> None:
+        """Persist the given windows of one date, merged over that date's
+        stored windows: a given window replaces the stored one with the same
+        times, and among the given ones the later wins. The date's file is
+        rewritten and committed by one rename.
 
-        Raises ``ValueError``, writing nothing, for a snapshot its file could
-        not give back verbatim: a label with surrounding whitespace (the
-        reader strips it) or a lone carriage return (the writer leaves it
-        unquoted), or window times with fractional seconds or a time zone.
+        Raises ``ValueError``, writing nothing, for windows of different
+        dates or window times with fractional seconds or a time zone; and
+        ``StoreError`` naming the file when the stored date cannot be read.
         """
-        window = snapshot.window
-        for label in snapshot.labels:
-            if label != label.strip() or "\r" in label:
+        date = snapshot.window.date
+        for m in (snapshot, *more):
+            window = m.window
+            if window.date != date:
                 raise ValueError(
-                    f"cannot store {source_id}/{window.date}: area label {label!r} has "
-                    "surrounding whitespace or a carriage return"
+                    f"cannot store {source_id}/{window.date} together with {date}: "
+                    "one put holds the windows of one date"
                 )
-        path = self._window_path(source_id, window)
-        stored = self._stored_windows(source_id)
+            if any(t.microsecond or t.tzinfo is not None for t in (window.start, window.end)):
+                raise ValueError(
+                    f"cannot store {source_id}/{date}: window {window.times_key()} "
+                    "needs whole-second times without a time zone"
+                )
+        path = self._date_path(source_id, date)
+        dates = self.dates_for(source_id)
+        by_window = {m.window: m for m in self._read_day(source_id, date, lambda window: True)[2]}
+        by_window.update((m.window, m) for m in (snapshot, *more))
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            with atomic_open(path, "w", encoding="utf-8", newline="") as handle:
-                write_snapshots_csv([snapshot], handle)
+            with atomic_open(path, "wb") as handle:
+                handle.write(_encode_day(date, [by_window[w] for w in sorted(by_window)]))
         except OSError as exc:
-            raise StoreError(f"cannot store {source_id}/{window.date}: {exc}") from exc
-        self._prune(source_id, {*stored, window})
+            raise StoreError(f"cannot store {source_id}/{date}: {exc}") from exc
+        self._prune(source_id, {*dates, date})
 
     def get_snapshot(self, source_id: str, window: TimeWindow) -> SparseOdm | None:
         """Retrieve one snapshot, or ``None`` when it was never stored.
 
-        Raises ``StoreError`` naming the file when it does not hold exactly
-        this window; a header-only file is the all-zero window.
+        Raises ``StoreError`` naming the date file when a read check fails.
         """
-        path = self._window_path(source_id, window)
-        try:
-            with open(path, "r", encoding="utf-8", newline="") as handle:
-                matrices = parse_rows(iter_csv_rows(handle, path.name), path.name)
-            if not matrices and path.stat().st_size == 0:
-                raise ValueError("empty file, no header")
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError, csv.Error) as exc:
-            raise StoreError(f"cannot read {path}: {exc}") from exc
-        if not matrices:
-            return SparseOdm(window, {})
-        if len(matrices) != 1 or matrices[0].window != window:
-            held = ", ".join(f"{m.window.date} {m.window.times_key()}" for m in matrices)
-            raise StoreError(f"{path} holds window {held}, not {window.times_key()}")
-        return matrices[0]
+        found = self._read_day(source_id, window.date, window.__eq__)[2]
+        return found[0] if found else None
 
     def windows_for(self, source_id: str, date: dt.date) -> list[TimeWindow]:
         """Windows stored for one date, all-zero ones included, ordered by
-        start time; read from the file names alone."""
-        return [w for w in self._stored_windows(source_id) if w.date == date]
+        start time."""
+        return self._read_day(source_id, date)[1]
 
     def fetch_history(
         self, source_id: str, window: TimeWindow, p: int, stride: str
@@ -212,49 +213,164 @@ class HistoryStore:
             for date in history_dates(window.date, p, stride)
         ]
 
-    def dates_for(self, source_id: str) -> list[dt.date]:
-        return sorted({w.date for w in self._stored_windows(source_id)})
-
     def day_digest(self, source_id: str, date: dt.date) -> str | None:
         """SHA-256 of the date's stored windows, for report audit headers, or
         ``None`` when none is stored.
 
-        Hashes the header, then each window file after its header, in
-        (start, end) order: the bytes of one CSV holding the whole day.
+        This is ``csv_sha256`` from the date file, read after the file's
+        checks pass: the hash of the date's windows written by
+        ``write_snapshots_csv`` as one CSV, taken when the date was stored.
         """
-        windows = self.windows_for(source_id, date)
-        if not windows:
-            return None
-        digest = hashlib.sha256(_HEADER)
-        for window in windows:
-            path = self._window_path(source_id, window)
-            try:
-                payload = path.read_bytes()
-            except OSError as exc:
-                raise StoreError(f"cannot read {path}: {exc}") from exc
-            if not payload.startswith(_HEADER):
-                raise StoreError(f"{path} does not start with the CSV header")
-            digest.update(payload[len(_HEADER) :])
-        return digest.hexdigest()
+        return self._read_day(source_id, date)[0]
 
     # -- internals -----------------------------------------------------
 
-    def _prune(self, source_id: str, windows: set[TimeWindow]) -> None:
-        """Unlink the files of ``windows`` dated more than ``retention_days``
-        before the newest of them."""
+    def _read_day(
+        self,
+        source_id: str,
+        date: dt.date,
+        decode: Callable[[TimeWindow], bool] = lambda window: False,
+    ) -> tuple[str | None, list[TimeWindow], list[SparseOdm]]:
+        """``(csv_sha256, windows, snapshots)`` of a stored date, or
+        ``(None, [], [])``: every stored window, and the snapshots of those
+        ``decode`` accepts.
+
+        Every read checks the header, the array lengths and the payload hash;
+        a decoded window's labels and columns are checked too. Raises
+        ``StoreError`` naming the file and the reason when a check fails. A
+        date is absent only when its source directory lists cleanly.
+        """
+        path = self._date_path(source_id, date)
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            self.dates_for(source_id)
+            return None, [], []
+        except OSError as exc:
+            raise StoreError(f"cannot read {path}: {exc}") from exc
+        try:
+            return _decode_day(data, date, decode)
+        except ValueError as exc:
+            raise StoreError(
+                f"cannot read {path}: {exc}; remove it and re-ingest the date"
+            ) from None
+
+    def _prune(self, source_id: str, dates: set[dt.date]) -> None:
+        """Unlink the files of ``dates`` more than ``retention_days`` before
+        the newest of them."""
         if self.retention_days is None:
             return
-        cutoff = max(w.date for w in windows) - dt.timedelta(days=self.retention_days)
-        for window in sorted(windows):
-            if window.date < cutoff:
+        cutoff = max(dates) - dt.timedelta(days=self.retention_days)
+        for date in sorted(dates):
+            if date < cutoff:
                 logger.info(
-                    "pruning %s/%s %s (older than %d days)",
-                    source_id,
-                    window.date,
-                    window.times_key(),
-                    self.retention_days,
+                    "pruning %s/%s (older than %d days)", source_id, date, self.retention_days
                 )
-                self._window_path(source_id, window).unlink(missing_ok=True)
+                self._date_path(source_id, date).unlink(missing_ok=True)
+
+
+def _encode_day(date: dt.date, day: Sequence[SparseOdm]) -> bytes:
+    """The bytes of a date file holding ``day``, in (start, end) order."""
+    csv_text = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
+    write_snapshots_csv(day, csv_text)
+    csv_text.flush()
+    payload = b"".join(
+        a.astype(_INT64, copy=False).tobytes() for m in day for a in (m.codes, m.counts)
+    )
+    header = json.dumps(
+        {
+            "format": FORMAT,
+            "date": date.isoformat(),
+            "windows": [
+                {
+                    "start": m.window.start.isoformat(),
+                    "end": m.window.end.isoformat(),
+                    "labels": list(m.labels),
+                    "cells": len(m),
+                }
+                for m in day
+            ],
+            "sha256": hashlib.sha256(payload).hexdigest(),
+            "csv_sha256": hashlib.sha256(csv_text.buffer.getbuffer()).hexdigest(),
+        },
+        separators=(",", ":"),
+    )
+    header += " " * (-(len(header) + 1) % _INT64.itemsize)
+    return header.encode("ascii") + b"\n" + payload
+
+
+def _decode_day(
+    data: bytes, date: dt.date, decode: Callable[[TimeWindow], bool]
+) -> tuple[str, list[TimeWindow], list[SparseOdm]]:
+    """``(csv_sha256, windows, snapshots)`` of a date file's bytes: every
+    stored window, and the checked snapshots of those ``decode`` accepts.
+
+    Raises ``ValueError`` with the reason when a read check fails.
+    """
+    newline = data.find(b"\n")
+    try:
+        header = json.loads(data[: max(newline, 0)].decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ValueError(f"bad header: {exc}") from None
+    try:
+        if header["format"] != FORMAT or header["date"] != date.isoformat():
+            raise ValueError(f"format {header['format']!r}, date {header['date']!r}")
+        digests = header["sha256"], header["csv_sha256"]
+        if not all(isinstance(d, str) for d in digests):
+            raise ValueError("the digests are not strings")
+        entries = []
+        for entry in header["windows"]:
+            window = TimeWindow(date, _time(entry["start"]), _time(entry["end"]))
+            labels, cells = entry["labels"], entry["cells"]
+            if type(cells) is not int or cells < 0 or not isinstance(labels, list):
+                raise ValueError(f"window {window.times_key()}: bad cells or labels")
+            if entries and entries[-1][0] >= window:
+                raise ValueError("windows not in strictly increasing (start, end) order")
+            entries.append((window, labels, cells))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad header shape: {type(exc).__name__} {exc}") from None
+    size = 2 * _INT64.itemsize * sum(cells for _, _, cells in entries)
+    payload = memoryview(data)[newline + 1 :]
+    if len(payload) != size:
+        raise ValueError(f"array section has {len(payload)} bytes, the header's cells need {size}")
+    if hashlib.sha256(payload).hexdigest() != digests[0]:
+        raise ValueError("array section does not match its sha256")
+    arrays = np.frombuffer(data, dtype=_INT64, offset=newline + 1)
+    snapshots = []
+    start = 0
+    for window, labels, cells in entries:
+        if decode(window):
+            codes = arrays[start : start + cells]
+            counts = arrays[start + cells : start + 2 * cells]
+            snapshots.append(_checked_snapshot(window, labels, codes, counts))
+        start += 2 * cells
+    return digests[1], [window for window, _, _ in entries], snapshots
+
+
+def _checked_snapshot(window: TimeWindow, labels: list, codes, counts) -> SparseOdm:
+    """One window's snapshot, after checking its labels and columns."""
+    n = len(labels)
+    try:
+        "".join(labels)  # a TypeError unless every label is a string
+        ordered = all(map(operator.lt, labels, labels[1:])) and (n == 0 or labels[0] != "")
+    except TypeError:
+        ordered = False
+    if not ordered:
+        raise ValueError(
+            f"window {window.times_key()}: labels not sorted, unique and non-empty strings"
+        )
+    used = np.zeros(n, dtype=bool)
+    if len(codes):
+        if codes[0] < 0 or int(codes[-1]) >= n * n or (np.diff(codes) <= 0).any():
+            raise ValueError(
+                f"window {window.times_key()}: codes not strictly increasing in [0, {n}**2)"
+            )
+        if counts.min() <= 0:
+            raise ValueError(f"window {window.times_key()}: a count <= 0")
+        used[codes // n] = used[codes % n] = True
+    if not used.all():
+        raise ValueError(f"window {window.times_key()}: a label no cell uses")
+    return SparseOdm.from_columns(window, labels, codes, counts)
 
 
 @contextmanager
@@ -283,8 +399,12 @@ def atomic_open(path: Path, mode: str = "w", **kwargs) -> Iterator[IO]:
         os.close(dir_fd)
 
 
-def _hhmmss(text: str) -> dt.time:
-    return dt.time(int(text[:2]), int(text[2:4]), int(text[4:]))
+def _time(text: str) -> dt.time:
+    """A header time: exactly ``HH:MM:SS``."""
+    time = dt.time.fromisoformat(text)
+    if time.isoformat() != text:
+        raise ValueError(f"bad time {text!r}, expected HH:MM:SS")
+    return time
 
 
 def retention_for(p: int, stride: str) -> int:

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from odmwatch import DetectorConfig, cli
+from odmwatch import DetectorConfig, HistoryStore, TimeWindow, cli
 from odmwatch.cli import main
 from odmwatch.ingestion import canonical_windows
 
@@ -54,14 +54,14 @@ def test_ingest_malformed_row_exits_one(tmp_path, capsys):
     assert "bad.csv:2" in err
 
 
-def test_ingest_unstorable_label_exits_one(tmp_path, capsys):
+def test_ingest_carriage_return_label_round_trips(tmp_path):
     path = tmp_path / "cr.csv"
     path.write_bytes((HEADER + '2021-06-07,00:00:00,23:59:59,"A\rB",C,5\n').encode("utf-8"))
     store_root = tmp_path / "store"
     code = main(["ingest", str(path), "--source", "mno", "--store-root", str(store_root)])
-    assert code == 1
-    assert repr("A\rB") in capsys.readouterr().err
-    assert not (store_root / "mno" / f"{MONDAY}_000000-235959.csv").exists()
+    assert code == 0
+    stored = HistoryStore(store_root).get_snapshot("mno", TimeWindow.full_day(MONDAY))
+    assert dict(stored.cells()) == {("A\rB", "C"): 5}
 
 
 def test_ingest_count_beyond_int64_exits_one(tmp_path, capsys):
@@ -75,7 +75,7 @@ def test_ingest_count_beyond_int64_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path.name}:2: ")
     assert "int64" in err
-    assert not (store_root / "mno" / f"{MONDAY}_000000-235959.csv").exists()
+    assert not (store_root / "mno" / f"{MONDAY}.odm").exists()
 
 
 @pytest.mark.parametrize(
@@ -100,7 +100,7 @@ def test_ingest_unreadable_input_exits_one(tmp_path, capsys, content, reason):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ")
     assert reason in err and "Traceback" not in err
-    assert not (store_root / "mno" / f"{MONDAY}_000000-235959.csv").exists()
+    assert not (store_root / "mno" / f"{MONDAY}.odm").exists()
 
 
 def test_detect_count_beyond_engine_limit_names_period(tmp_path, capsys):
@@ -431,7 +431,7 @@ def test_ingest_accepts_a_shared_config_file(tmp_path, capsys):
     )
     path = day_csv(tmp_path, MONDAY, per_day=1)
     assert main(["ingest", str(path), "--source", "mno", "--config", str(config)]) == 0
-    assert (store_root / "mno" / f"{MONDAY}_000000-235959.csv").exists()
+    assert (store_root / "mno" / f"{MONDAY}.odm").exists()
 
 
 def test_every_config_key_reaches_the_run_config(tmp_path):

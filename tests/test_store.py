@@ -15,11 +15,14 @@ from hypothesis import strategies as st
 
 import odmwatch
 from odmwatch import HistoryStore, SparseOdm, TimeWindow
+from odmwatch import ingestion
 from odmwatch import store as store_module
-from odmwatch.ingestion import SourceProfile, parse_rows, write_snapshots_csv
+from odmwatch.cli import main
+from odmwatch.ingestion import SourceProfile, canonical_windows, parse_rows, write_snapshots_csv
 from odmwatch.store import StoreError, history_dates, retention_for
 
 MONDAY = dt.date(2021, 6, 7)
+TUESDAY = MONDAY + dt.timedelta(days=1)
 HEADER = b"date,start,end,origin,destination,count\n"
 
 
@@ -200,37 +203,68 @@ def test_retention_default_policy():
 
 
 def test_windows_for_parses_no_file(store, monkeypatch):
+    # The store reads its own binary date files; CSV is the ingest format only.
     morning = snap(MONDAY, {("A", "B"): 1}, dt.time(0, 0, 0), dt.time(7, 59, 59))
     noon = snap(MONDAY, {}, dt.time(8, 0, 0), dt.time(15, 59, 59))
     evening = snap(MONDAY, {("B", "A"): 2}, dt.time(16, 0, 0), dt.time(23, 59, 59))
     for m in (evening, noon, morning):
         store.put_snapshot("src", m)
+    digest = store.day_digest("src", MONDAY)
 
     def no_parse(*args):
-        raise AssertionError("windows_for parsed a window file")
+        raise AssertionError("the store parsed or wrote CSV while reading")
 
+    assert not hasattr(store_module, "parse_rows")
     with monkeypatch.context() as patch:
-        patch.setattr(store_module, "parse_rows", no_parse)
-        patch.setattr(store_module, "iter_csv_rows", no_parse)
+        for name in ("parse_rows", "iter_csv_rows", "records_for"):
+            patch.setattr(ingestion, name, no_parse)
         assert store.windows_for("src", MONDAY) == [morning.window, noon.window, evening.window]
         assert store.dates_for("src") == [MONDAY]
-    for m in (morning, noon, evening):
-        assert store.get_snapshot("src", m.window) == m
+        assert store.day_digest("src", MONDAY) == digest
+        for m in (morning, noon, evening):
+            assert store.get_snapshot("src", m.window) == m
+        tuesday_noon = TimeWindow(TUESDAY, noon.window.start, noon.window.end)
+        assert store.fetch_history("src", tuesday_noon, 1, "daily") == [noon]
+
+
+def read_date_file(path):
+    """(header, codes and counts of each window) of a date file, decoded by hand."""
+    data = path.read_bytes()
+    newline = data.index(b"\n")
+    header = json.loads(data[:newline].decode("utf-8"))
+    arrays = np.frombuffer(data, dtype="<i8", offset=newline + 1)
+    columns, start = [], 0
+    for window in header["windows"]:
+        n = window["cells"]
+        codes, counts = arrays[start : start + n], arrays[start + n : start + 2 * n]
+        columns.append((codes.tolist(), counts.tolist()))
+        start += 2 * n
+    return header, columns, newline + 1
 
 
 def test_window_file_layout(store):
-    m = snap(MONDAY, {("B", "A"): 2, ("A", "B"): 1}, dt.time(8, 0, 0), dt.time(15, 59, 59))
-    store.put_snapshot("src", m)
-    store.put_snapshot("src", snap(MONDAY, {}, dt.time(16, 0, 0), dt.time(23, 59, 59)))
+    m = snap(
+        MONDAY, {("B", "A"): 2, ("A", "B"): 1, ("C", "A"): 3}, dt.time(8, 0, 0), dt.time(15, 59, 59)
+    )
+    zero = snap(MONDAY, {}, dt.time(16, 0, 0), dt.time(23, 59, 59))
+    store.put_snapshot("src", zero, m)
     directory = store.root / "src"
-    assert sorted(p.name for p in directory.iterdir()) == [
-        f"{MONDAY}_080000-155959.csv",
-        f"{MONDAY}_160000-235959.csv",
-    ]
-    expected = io.StringIO()
-    write_snapshots_csv([m], expected)
-    assert (directory / f"{MONDAY}_080000-155959.csv").read_bytes() == expected.getvalue().encode()
-    assert (directory / f"{MONDAY}_160000-235959.csv").read_bytes() == HEADER
+    assert sorted(p.name for p in directory.iterdir()) == [f"{MONDAY}.odm"]
+    header, columns, offset = read_date_file(directory / f"{MONDAY}.odm")
+    data = (directory / f"{MONDAY}.odm").read_bytes()
+    assert header == {
+        "format": 1,
+        "date": MONDAY.isoformat(),
+        "windows": [
+            {"start": "08:00:00", "end": "15:59:59", "labels": ["A", "B", "C"], "cells": 3},
+            {"start": "16:00:00", "end": "23:59:59", "labels": [], "cells": 0},
+        ],
+        "sha256": hashlib.sha256(data[offset:]).hexdigest(),
+        "csv_sha256": day_digest_by_definition([m, zero]),
+    }
+    # A-B, B-A, C-A with A, B, C ranked 0, 1, 2 out of 3.
+    assert columns == [([1, 3, 6], [1, 2, 3]), ([], [])]
+    assert offset % 8 == 0 and data[:offset].isascii()
 
 
 def test_day_digest_hashes_the_day_as_one_csv(store):
@@ -247,36 +281,165 @@ def test_day_digest_hashes_the_day_as_one_csv(store):
     assert store.day_digest("src", MONDAY) == expected
 
 
+def day_digest_by_definition(snapshots):
+    """The audit digest's definition: SHA-256 of the date's windows written
+    as one ingestion-format CSV, in (start, end) order."""
+    one_csv = io.StringIO()
+    write_snapshots_csv(snapshots, one_csv)
+    return hashlib.sha256(one_csv.getvalue().encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_day_digest_matches_its_definition_after_reingests(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    store = HistoryStore(tmp_path / "store", retention_days=None)
+    slots = [(dt.time(3 * k, 0, 0), dt.time(3 * k + 2, 59, 59)) for k in range(8)]
+    dates = [MONDAY - dt.timedelta(days=k) for k in range(3)]
+    expected: dict[dt.date, dict[TimeWindow, SparseOdm]] = {d: {} for d in dates}
+    for _ in range(6):
+        date = dates[int(rng.integers(len(dates)))]
+        chosen = rng.choice(len(slots), size=int(rng.integers(1, 9)), replace=True)
+        puts = []
+        for k in chosen.tolist():
+            n_cells = int(rng.choice([0, 1, 5, 40]))
+            cells = {
+                (f"a{int(o)}", f"b{int(d)}" if rng.random() < 0.5 else f"a{int(d)}"): int(c)
+                for o, d, c in rng.integers(0, 12, size=(n_cells, 3))
+            }
+            puts.append(SparseOdm(TimeWindow(date, *slots[k]), cells))
+        store.put_snapshot("src", *puts)
+        expected[date].update((m.window, m) for m in puts)  # the later one wins
+        for d in dates:
+            want = [expected[d][w] for w in sorted(expected[d])]
+            got = [store.get_snapshot("src", w) for w in store.windows_for("src", d)]
+            assert got == want
+            digest = store.day_digest("src", d)
+            assert digest == (day_digest_by_definition(got) if got else None)
+
+
+def rewritten(edit_header=lambda header: None, codes=None, counts=None):
+    """A corruption that edits the decoded header or arrays of a one-window
+    date file and re-signs the arrays, so a check after the hash must fire."""
+
+    def corrupt(data):
+        newline = data.index(b"\n")
+        header = json.loads(data[:newline])
+        arrays = np.frombuffer(data, dtype="<i8", offset=newline + 1).copy()
+        n = header["windows"][0]["cells"]
+        if codes is not None:
+            arrays[:n] = codes
+        if counts is not None:
+            arrays[n:] = counts
+        edit_header(header)
+        payload = arrays.astype("<i8").tobytes()
+        header["sha256"] = hashlib.sha256(payload).hexdigest()
+        return json.dumps(header).encode("utf-8") + b"\n" + payload
+
+    return corrupt
+
+
+def edit_window(**fields):
+    return rewritten(lambda header: header["windows"][0].update(fields))
+
+
 @pytest.mark.parametrize(
-    "content,reason",
+    "corrupt,reason,every_read",
     [
-        (b"", "empty file"),
-        (b"date,start,end,origin\n", "bad header"),
-        (HEADER + b"2021-06-07,00:00:00,23:59:59,A,B,oops\n", ":2: bad count"),
-        (HEADER + b"2021-06-07,00:00:00,23:59:59,A,\xff,1\n", "utf-8"),
-        (HEADER + b"2021-06-07,00:00:00,11:59:59,A,B,1\n", "not 00:00:00-23:59:59"),
-        (HEADER + b"2021-06-08,00:00:00,23:59:59,A,B,1\n", "not 00:00:00-23:59:59"),
+        (lambda data: b"", "bad header", True),
+        (lambda data: b"{" + data[data.index(b"\n") :], "bad header", True),
+        (lambda data: b"\xff" + data, "utf-8", True),
+        (rewritten(lambda header: header.pop("windows")), "bad header shape", True),
+        (rewritten(lambda header: header.update(format=2)), "bad header shape", True),
+        (rewritten(lambda header: header.update(date="2021-06-08")), "'2021-06-08'", True),
+        (edit_window(start="00:00"), "bad time '00:00'", True),
+        (
+            rewritten(lambda header: header["windows"].append(header["windows"][0])),
+            "(start, end) order",
+            True,
+        ),
+        (edit_window(cells=-2), "bad cells or labels", True),
+        (edit_window(labels=["B", "A"]), "labels not sorted, unique and non-empty", False),
+        (edit_window(labels=["A", "A"]), "labels not sorted, unique and non-empty", False),
+        (edit_window(labels=["", "B"]), "labels not sorted, unique and non-empty", False),
+        (edit_window(labels=["A", 7]), "labels not sorted, unique and non-empty", False),
+        (lambda data: data[:-8], "array section has", True),
+        (lambda data: data + bytes(16), "array section has", True),
+        (lambda data: data[:-1] + bytes([data[-1] ^ 1]), "does not match its sha256", True),
+        (rewritten(codes=[2, 1]), "codes not strictly increasing", False),
+        (rewritten(codes=[1, 1]), "codes not strictly increasing", False),
+        (rewritten(codes=[-1, 2]), "codes not strictly increasing", False),
+        (rewritten(codes=[1, 4]), "codes not strictly increasing in [0, 2**2)", False),
+        (rewritten(counts=[0, 7]), "a count <= 0", False),
+        (rewritten(counts=[1, -7]), "a count <= 0", False),
+        (
+            rewritten(lambda header: header["windows"][0].update(labels=["A", "B", "Z"]), [1, 3]),
+            "a label no cell uses",
+            False,
+        ),
     ],
-    ids=["empty", "bad-header", "bad-count", "not-utf8", "other-times", "other-date"],
+    ids=[
+        "empty",
+        "bad-header",
+        "not-utf8",
+        "no-windows",
+        "other-format",
+        "other-date",
+        "other-times",
+        "duplicate-window",
+        "negative-cells",
+        "unsorted-labels",
+        "duplicate-labels",
+        "empty-label",
+        "non-string-label",
+        "truncated",
+        "extended",
+        "flipped-byte",
+        "codes-decreasing",
+        "codes-repeated",
+        "code-negative",
+        "code-too-large",
+        "bad-count",
+        "negative-count",
+        "unused-label",
+    ],
 )
-def test_corrupt_window_file_raises_store_error(store, content, reason):
-    m = snap(MONDAY, {("A", "B"): 1})
+def test_corrupt_window_file_raises_store_error(store, corrupt, reason, every_read):
+    # Every read checks the header, the sizes and the hash; reads that return
+    # a window's snapshot also check its labels and columns.
+    m = snap(MONDAY, {("A", "B"): 1, ("B", "A"): 7})
     store.put_snapshot("src", m)
-    path = store.root / "src" / f"{MONDAY}_000000-235959.csv"
-    path.write_bytes(content)
-    with pytest.raises(StoreError) as excinfo:
-        store.get_snapshot("src", m.window)
-    assert path.name in str(excinfo.value)
-    assert reason in str(excinfo.value)
+    path = store.root / "src" / f"{MONDAY}.odm"
+    path.write_bytes(corrupt(path.read_bytes()))
+    reads = [
+        lambda: store.get_snapshot("src", m.window),
+        lambda: store.fetch_history("src", TimeWindow.full_day(TUESDAY), 1, "daily"),
+        lambda: store.put_snapshot("src", snap(MONDAY, {}, dt.time(1, 0, 0), dt.time(2, 0, 0))),
+    ]
+    if every_read:
+        reads += [
+            lambda: store.windows_for("src", MONDAY),
+            lambda: store.day_digest("src", MONDAY),
+        ]
+    else:
+        assert store.windows_for("src", MONDAY) == [m.window]
+    for read in reads:
+        with pytest.raises(StoreError) as excinfo:
+            read()
+        assert str(path) in str(excinfo.value)
+        assert reason in str(excinfo.value)
+        assert "re-ingest" in str(excinfo.value)
 
 
-@pytest.mark.parametrize("name", [f"{MONDAY}.csv", f"{MONDAY}.index.json", "notes.txt"])
+@pytest.mark.parametrize(
+    "name", [f"{MONDAY}.csv", f"{MONDAY}.index.json", "notes.txt", f"{MONDAY}_000000-235959.csv"]
+)
 def test_old_layout_file_raises_store_error(store, name):
     stray = store.root / "src" / name
     stray.parent.mkdir(parents=True)
     stray.write_text("date,start,end,origin,destination,count\n", encoding="utf-8")
     for read in (
         lambda: store.windows_for("src", MONDAY),
+        lambda: store.get_snapshot("src", TimeWindow.full_day(MONDAY)),
         lambda: store.dates_for("src"),
         lambda: store.day_digest("src", MONDAY),
         lambda: store.put_snapshot("src", snap(MONDAY, {("A", "B"): 1})),
@@ -347,6 +510,54 @@ def test_crash_before_rename_keeps_the_old_window(store):
     assert store.dates_for("src") == [MONDAY]
 
 
+CRASH_MID_REINGEST = """
+import os, sys
+from odmwatch import cli, ingestion
+
+render = ingestion.records_for
+rendered = []
+
+def records_for(snapshot):
+    # Die as the fifth window is written out, after four were.
+    rendered.append(snapshot.window)
+    if len(rendered) == 5:
+        os._exit(17)
+    return render(snapshot)
+
+ingestion.records_for = records_for
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def eight_window_day(path, count):
+    lines = [HEADER.decode("utf-8")]
+    for w in canonical_windows(MONDAY, 8):
+        lines.append(f"{MONDAY},{w.start},{w.end},A,B,{count}\n")
+    path.write_text("".join(lines), encoding="utf-8")
+    return str(path)
+
+
+def test_crash_mid_reingest_leaves_the_date_old_or_new(tmp_path):
+    root = tmp_path / "store"
+    flags = ["--source", "src", "--expected-windows", "8", "--store-root", str(root)]
+    assert main(["ingest", eight_window_day(tmp_path / "old.csv", 99), *flags]) == 0
+    new = tmp_path / "new.csv"
+    src_root = Path(odmwatch.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src_root)}
+    child = subprocess.run(
+        [sys.executable, "-c", CRASH_MID_REINGEST, "ingest", eight_window_day(new, 10), *flags],
+        env=env,
+        capture_output=True,
+        timeout=60,
+    )
+    assert child.returncode == 17, child.stderr.decode()
+    store = HistoryStore(root, retention_days=None)
+    windows = store.windows_for("src", MONDAY)
+    assert windows == canonical_windows(MONDAY, 8)
+    counts = [dict(store.get_snapshot("src", w).cells())[("A", "B")] for w in windows]
+    assert counts in ([99] * 8, [10] * 8)
+
+
 LABEL_CHARS = st.one_of(
     st.sampled_from([",", '"', "\n", "\r", " ", "\t", "\u00a0", "\u2028", "é", "東", "A"]),
     st.characters(exclude_categories=("Cs",)),
@@ -395,34 +606,22 @@ def test_stored_labels_round_trip_or_are_rejected(tmp_path_factory, cells):
     store.put_snapshot("src", other)
     m = SparseOdm(window, cells)
     assert_columnar(m, cells)
-    try:
-        store.put_snapshot("src", m)
-    except ValueError:
-        assert any(
-            label != label.strip() or "\r" in label
-            for pair, count in cells.items()
-            if count > 0
-            for label in pair
-        )
-        assert store.windows_for("src", MONDAY) == [other.window]
-    else:
-        got = store.get_snapshot("src", m.window)
-        assert got == m
-        assert_columnar(got, cells)
-    # Whatever happened, the day stays readable in full.
-    day = [store.get_snapshot("src", w) for w in store.windows_for("src", MONDAY)]
-    assert other in day and None not in day
+    # Every label round-trips: the date file's JSON header gives back any string.
+    store.put_snapshot("src", m)
+    got = store.get_snapshot("src", m.window)
+    assert got == m
+    assert_columnar(got, cells)
+    assert [store.get_snapshot("src", w) for w in store.windows_for("src", MONDAY)] == [other, m]
+    assert store.day_digest("src", MONDAY) == day_digest_by_definition([other, m])
 
 
 @pytest.mark.parametrize("label", [" A", "A ", "\tA", "A\u00a0", "A\rB"])
-def test_unreadable_label_rejected_before_writing(store, label):
+def test_whitespace_or_carriage_return_label_round_trips(store, label):
     m = snap(MONDAY, {("A", "B"): 1, (label, "B"): 2})
-    with pytest.raises(ValueError) as err:
-        store.put_snapshot("src", m)
-    message = str(err.value)
-    assert "src" in message and MONDAY.isoformat() in message and repr(label) in message
-    assert not (store.root / "src" / f"{MONDAY}_000000-235959.csv").exists()
-    assert store.get_snapshot("src", m.window) is None
+    store.put_snapshot("src", m)
+    got = store.get_snapshot("src", m.window)
+    assert got == m and dict(got.cells())[(label, "B")] == 2
+    assert store.day_digest("src", MONDAY) == day_digest_by_definition([m])
 
 
 def test_day_digest_changes_with_content(store):
