@@ -99,6 +99,10 @@ class SeriesBlock:
     def __len__(self) -> int:
         return len(self.observed)
 
+    def take(self, index) -> SeriesBlock:
+        """The block at ``index`` (a slice or an index array) of every array."""
+        return SeriesBlock(**{k: None if v is None else v[index] for k, v in vars(self).items()})
+
 
 @dataclass
 class WindowEvaluation:
@@ -308,9 +312,6 @@ def evaluate_window(
         every = SeriesBlock(observed, np.full(len(observed), STATUS_MISSING_DATA, dtype=np.int8))
     timings["detect"] = time.perf_counter() - t2
 
-    def part(span: slice) -> SeriesBlock:
-        return SeriesBlock(**{k: None if v is None else v[span] for k, v in vars(every).items()})
-
     return WindowEvaluation(
         n_areas=n_areas,
         available=n,
@@ -318,10 +319,10 @@ def evaluate_window(
         eligible_count=n_eligible,
         degenerate=degenerate,
         cell_codes=universe,
-        cells=part(slice(0, m)),
+        cells=every.take(slice(0, m)),
         inbound_areas=dest_sorted[in_starts],
-        inbound=part(inbound),
+        inbound=every.take(inbound),
         outbound_areas=u_origin[out_starts],
-        outbound=part(outbound),
+        outbound=every.take(outbound),
         timings=timings,
     )

@@ -18,7 +18,6 @@ import csv
 import datetime as dt
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -52,13 +51,19 @@ REPORT_COLUMNS = (
     "upper",
 )
 
-_INC = REPORT_COLUMNS.index("inc_percent")
-
-# Labels indexed by the engine's STATUS_* and DIR_* codes.
+# Labels indexed by the engine's STATUS_* and DIR_* codes, and their JSON
+# text; a signal's level is 1-3, and 0 stands for no level.
 _STATUS_NAMES = np.array(
     ["no_signal", "signal", "below_eligibility", "missing_data"], dtype=object
 )
 _DIRECTION_NAMES = np.array([None, "upper", "lower"], dtype=object)
+_STATUS_JSON = np.array([json.dumps(name) for name in _STATUS_NAMES], dtype=object)
+_DIRECTION_JSON = np.array([json.dumps(name) for name in _DIRECTION_NAMES], dtype=object)
+_LEVEL_JSON = np.array(["null", "1", "2", "3"], dtype=object)
+
+# Rows per string the JSONL writer builds, so that a report is never held
+# whole in memory.
+_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -86,12 +91,85 @@ class DetectorConfig:
             raise ValueError(f"bounds_mode must be one of {BOUNDS_MODES}")
 
 
+class ReportRows:
+    """One window's report rows, held as columns.
+
+    Per series kind (cells, then inbound, then outbound) it keeps the
+    engine's ``SeriesBlock`` restricted to the series whose status is not
+    ``no_signal``, with their origin and destination label ids (``None``
+    for the side a marginal does not have). ``len()`` is the row count.
+    Iterating yields one ``REPORT_COLUMNS`` tuple per row, in report order,
+    of plain Python values: ``None`` for a field the row's status does not
+    have, and the increment as the raw float (``inf`` included).
+    """
+
+    def __init__(
+        self, evaluation: _engine.WindowEvaluation, labels: list[str], head: tuple[str, ...]
+    ) -> None:
+        self.labels = labels
+        self.head = head  # source, date, start, end
+        self.kinds: list[tuple[str, np.ndarray | None, np.ndarray | None, _engine.SeriesBlock]] = []
+        for kind, codes, block in evaluation.blocks():
+            hits = np.flatnonzero(block.status != _engine.STATUS_NO_SIGNAL)
+            codes = codes[hits]
+            if kind == "cell":
+                origin, destination = np.divmod(codes, evaluation.n_areas)
+            elif kind == "inbound":
+                origin, destination = None, codes
+            else:
+                origin, destination = codes, None
+            self.kinds.append((kind, origin, destination, block.take(hits)))
+
+    def __len__(self) -> int:
+        return sum(len(block) for *_, block in self.kinds)
+
+    def __iter__(self) -> Iterator[tuple]:
+        for columns in self.columns():
+            yield from zip(*columns)
+
+    def columns(self, finite_inc: bool = False) -> Iterator[list]:
+        """Per series kind, its rows' ``REPORT_COLUMNS`` as sequences of
+        Python values. With ``finite_inc``, a non-finite increment (a flow
+        born from a zero average) is ``None``, as the CSV report writes it."""
+        names = np.array(self.labels, dtype=object)
+        for kind, origin, destination, block in self.kinds:
+            n = len(block)
+            none = [None] * n
+            if block.ma is None:  # missing data: no period to compare to
+                ma = sd = direction = level = inc = lower = upper = none
+            else:
+                signal = block.status == _engine.STATUS_SIGNAL
+                ma, sd = block.ma.tolist(), block.sd.tolist()
+                direction = _DIRECTION_NAMES[block.direction].tolist()
+                level, lower, upper = (
+                    np.where(signal, values, None).tolist()
+                    for values in (block.level, block.lower, block.upper)
+                )
+                if finite_inc:
+                    signal &= np.isfinite(block.inc)
+                inc = np.where(signal, block.inc, None).tolist()
+            yield [
+                *(repeat(value, n) for value in (*self.head, kind)),
+                none if origin is None else names[origin].tolist(),
+                none if destination is None else names[destination].tolist(),
+                _STATUS_NAMES[block.status].tolist(),
+                direction,
+                level,
+                inc,
+                block.observed.tolist(),
+                ma,
+                sd,
+                lower,
+                upper,
+            ]
+
+
 @dataclass
 class WindowReport:
     """One window's result. ``t`` is the day's quantile threshold, or th
     itself when ``degenerate`` (no cell reached th); ``eligible_count`` is
-    the number of cells that did. ``outcomes`` holds one tuple per series
-    whose status is not ``no_signal``, in ``REPORT_COLUMNS`` order."""
+    the number of cells that did. ``outcomes`` holds the rows of the series
+    whose status is not ``no_signal``."""
 
     source_id: str
     window: TimeWindow
@@ -99,7 +177,7 @@ class WindowReport:
     eligible_count: int
     degenerate: bool
     available: int
-    outcomes: list[tuple]
+    outcomes: ReportRows
     summary: dict[str, int]
 
 
@@ -125,57 +203,6 @@ class DayReport:
         totals["windows_present"] = len(self.window_reports)
         totals["windows_missing"] = len(self.missing_windows)
         return totals
-
-
-def _report_rows(
-    evaluation: _engine.WindowEvaluation,
-    labels: list[str],
-    source_id: str,
-    window: TimeWindow,
-) -> list[tuple]:
-    """One ``REPORT_COLUMNS`` tuple per series that is not level 0, in report
-    order; fields a status does not have are ``None``."""
-    names = np.array(labels, dtype=object)
-    n_areas = evaluation.n_areas
-    head = (source_id, window.date.isoformat(), window.start.isoformat(), window.end.isoformat())
-    rows: list[tuple] = []
-    for kind, codes, block in evaluation.blocks():
-        hits = np.flatnonzero(block.status != _engine.STATUS_NO_SIGNAL)
-        codes = codes[hits]
-        status = block.status[hits]
-        none = [None] * len(hits)
-        if kind == "cell":
-            origin = names[codes // n_areas].tolist()
-            destination = names[codes % n_areas].tolist()
-        elif kind == "inbound":
-            origin, destination = none, names[codes].tolist()
-        else:
-            origin, destination = names[codes].tolist(), none
-        if block.ma is None:  # missing data: no period to compare to
-            ma = sd = direction = level = inc = lower = upper = none
-        else:
-            signal = status == _engine.STATUS_SIGNAL
-            ma, sd = block.ma[hits].tolist(), block.sd[hits].tolist()
-            direction = _DIRECTION_NAMES[block.direction[hits]].tolist()
-            level, inc, lower, upper = (
-                np.where(signal, values[hits], None).tolist()
-                for values in (block.level, block.inc, block.lower, block.upper)
-            )
-        rows += zip(
-            *map(repeat, (*head, kind)),
-            origin,
-            destination,
-            _STATUS_NAMES[status].tolist(),
-            direction,
-            level,
-            inc,
-            block.observed[hits].tolist(),
-            ma,
-            sd,
-            lower,
-            upper,
-        )
-    return rows
 
 
 def run_window(
@@ -210,14 +237,16 @@ def run_window(
             f"source {source_id!r}, window {current.window.times_key()}, "
             f"period {present[exc.period].window.date}: {exc}"
         ) from None
+    window = current.window
+    head = (source_id, window.date.isoformat(), window.start.isoformat(), window.end.isoformat())
     return WindowReport(
         source_id=source_id,
-        window=current.window,
+        window=window,
         t=evaluation.t,
         eligible_count=evaluation.eligible_count,
         degenerate=evaluation.degenerate,
         available=evaluation.available,
-        outcomes=_report_rows(evaluation, labels, source_id, current.window),
+        outcomes=ReportRows(evaluation, labels, head),
         summary=evaluation.summary(),
     )
 
@@ -293,24 +322,67 @@ def _report_summary(report: DayReport) -> dict:
     return {"record": "summary", **report.summary()}
 
 
-def _rows(report: DayReport) -> Iterator[tuple]:
-    # A non-finite increment (a flow born from a zero average) has no JSON
-    # number; it is written as null, or as an empty CSV field. Level and
-    # direction still carry the classification.
-    for window in report.window_reports:
-        for row in window.outcomes:
-            inc = row[_INC]
-            if inc is not None and not math.isfinite(inc):
-                row = (*row[:_INC], None, *row[_INC + 1 :])
-            yield row
+def _json_numbers(values: np.ndarray, written: np.ndarray) -> list:
+    """``values`` as Python numbers where ``written``, else the text null.
+    ``%s`` formats a Python number as its ``repr``, as ``json.dumps`` does."""
+    column = np.full(len(values), "null", dtype=object)
+    column[written] = values[written]
+    return column.tolist()
+
+
+def _jsonl_rows(rows: ReportRows) -> Iterator[str]:
+    """The JSON lines of one window's rows, at most ``_CHUNK_ROWS`` per string.
+
+    Each label and the head of each kind's rows are encoded once, and each
+    row fills one ``%`` template. A non-finite increment is written as null;
+    any other non-finite number raises ``ValueError``, as
+    ``json.dumps(..., allow_nan=False)`` does, before its chunk is returned.
+    """
+    names = np.array([json.dumps(label) for label in rows.labels], dtype=object)
+    fields = REPORT_COLUMNS[5:]
+    for kind, origin, destination, block in rows.kinds:
+        head = json.dumps(dict(zip(REPORT_COLUMNS, (*rows.head, kind))), separators=(",", ":"))
+        prefix = head[:-1].replace("%", "%%") + ","
+        for start in range(0, len(block), _CHUNK_ROWS):
+            span = slice(start, start + _CHUNK_ROWS)
+            part = block.take(span)
+            values = {
+                "status": _STATUS_JSON[part.status].tolist(),
+                "observed": part.observed.tolist(),
+            }
+            if origin is not None:
+                values["origin"] = names[origin[span]].tolist()
+            if destination is not None:
+                values["destination"] = names[destination[span]].tolist()
+            if part.ma is not None:
+                signal = part.status == _engine.STATUS_SIGNAL
+                written = (part.ma, part.sd, part.lower[signal], part.upper[signal])
+                if not all(np.isfinite(v).all() for v in written):
+                    raise ValueError(
+                        f"window {rows.head[2]}-{rows.head[3]}: a {kind} row holds a "
+                        "non-finite ma, sd or bound, which JSON cannot represent"
+                    )
+                values.update(
+                    direction=_DIRECTION_JSON[part.direction].tolist(),
+                    level=_LEVEL_JSON[np.where(signal, part.level, 0)].tolist(),
+                    inc_percent=_json_numbers(part.inc, signal & np.isfinite(part.inc)),
+                    ma=part.ma.tolist(),
+                    sd=part.sd.tolist(),
+                    lower=_json_numbers(part.lower, signal),
+                    upper=_json_numbers(part.upper, signal),
+                )
+            template = ",".join(f'"{f}":%s' if f in values else f'"{f}":null' for f in fields)
+            columns = [values[f] for f in fields if f in values]
+            yield "".join(map(f"{prefix}{template}}}\n".__mod__, zip(*columns)))
 
 
 def write_day_report_jsonl(report: DayReport, handle: IO[str]) -> None:
     """Header line, one line per non-level0 outcome, one summary line."""
     dump = lambda obj: json.dumps(obj, separators=(",", ":"), allow_nan=False)
     handle.write(dump(_report_header(report)) + "\n")
-    for row in _rows(report):
-        handle.write(dump(dict(zip(REPORT_COLUMNS, row))) + "\n")
+    for window in report.window_reports:
+        for chunk in _jsonl_rows(window.outcomes):
+            handle.write(chunk)
     handle.write(dump(_report_summary(report)) + "\n")
 
 
@@ -322,7 +394,9 @@ def write_day_report_csv(report: DayReport, path: str | Path) -> None:
     with atomic_open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(REPORT_COLUMNS)
-        writer.writerows(_rows(report))
+        for window in report.window_reports:
+            for columns in window.outcomes.columns(finite_inc=True):
+                writer.writerows(zip(*columns))
     meta = {"header": _report_header(report), "summary": _report_summary(report)}
     with atomic_open(path.with_name(path.name + ".meta.json"), "w", encoding="utf-8") as handle:
         handle.write(json.dumps(meta, separators=(",", ":"), allow_nan=False) + "\n")

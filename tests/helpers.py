@@ -1,17 +1,28 @@
 """Shared test utilities: single-series and single-window probes of the
-detector, dense <-> sparse conversion, and randomized store-backed
-comparison trials against the dense oracle."""
+detector, dense <-> sparse conversion, randomized store-backed comparison
+trials against the dense oracle, and the row-by-row reference report
+writers."""
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
+import json
+import math
 from types import SimpleNamespace
+from typing import IO, Iterator
 
 import numpy as np
 
 import dense_oracle
 from odmwatch import DetectorConfig, SparseOdm, TimeWindow, _engine, run_window
-from odmwatch.detector import _DIRECTION_NAMES, _STATUS_NAMES, REPORT_COLUMNS
+from odmwatch.detector import (
+    _DIRECTION_NAMES,
+    _STATUS_NAMES,
+    REPORT_COLUMNS,
+    _report_header,
+    _report_summary,
+)
 from odmwatch.store import HistoryStore
 
 BASE_DATE = dt.date(2021, 6, 7)  # a Monday
@@ -227,3 +238,38 @@ def run_store_backed_trial(
         current_dense, history_dense, labels, th, q, mode
     )
     return compare_report_to_oracle(report, oracle)
+
+
+# -- reference report writers --------------------------------------------
+
+_INC = REPORT_COLUMNS.index("inc_percent")
+
+
+def reference_rows(report) -> Iterator[tuple]:
+    """Every row of a day report, from iterating each window's ``outcomes``;
+    a non-finite increment (a flow born from a zero average) becomes
+    ``None``, which JSONL writes as null and CSV as an empty field."""
+    for window in report.window_reports:
+        for row in window.outcomes:
+            inc = row[_INC]
+            if inc is not None and not math.isfinite(inc):
+                row = (*row[:_INC], None, *row[_INC + 1 :])
+            yield row
+
+
+def write_reference_jsonl(report, handle: IO[str]) -> None:
+    """The report as ``write_day_report_jsonl`` must write it: one
+    ``json.dumps`` of a dict per row."""
+    dump = lambda obj: json.dumps(obj, separators=(",", ":"), allow_nan=False)
+    handle.write(dump(_report_header(report)) + "\n")
+    for row in reference_rows(report):
+        handle.write(dump(dict(zip(REPORT_COLUMNS, row))) + "\n")
+    handle.write(dump(_report_summary(report)) + "\n")
+
+
+def write_reference_csv(report, handle: IO[str]) -> None:
+    """The outcome table as ``write_day_report_csv`` must write it: a
+    ``csv.writer`` over the iterated rows."""
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(REPORT_COLUMNS)
+    writer.writerows(reference_rows(report))

@@ -1,11 +1,13 @@
 import argparse
+import contextlib
 import dataclasses
 import datetime as dt
 import json
 
+import numpy as np
 import pytest
 
-from odmwatch import DetectorConfig, HistoryStore, TimeWindow, cli
+from odmwatch import DetectorConfig, HistoryStore, TimeWindow, _engine, cli, detector, store
 from odmwatch.cli import main
 from odmwatch.ingestion import canonical_windows
 
@@ -211,13 +213,19 @@ def test_detect_writes_report(synthetic_store, tmp_path, capsys):
     assert all(s["direction"] == "upper" and s["level"] == 3 for s in signals)
 
 
-class _FailingRows(list):
-    """Report rows whose iteration fails after the first row, as a full
-    disk would fail a write partway through."""
+class _FullDisk:
+    """A report handle whose writes fail after the first one, as a full disk
+    would fail a write partway through."""
 
-    def __iter__(self):
-        yield from self[:1]  # a slice is a plain list
-        raise OSError("disk full")
+    def __init__(self, handle):
+        self._handle = handle
+        self._writes = 0
+
+    def write(self, text):
+        self._writes += 1
+        if self._writes > 1:
+            raise OSError("disk full")
+        return self._handle.write(text)
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
@@ -233,21 +241,47 @@ def test_failed_report_write_keeps_previous_report(
     before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
     assert len(before) == (2 if fmt == "csv" else 1)
 
-    detect_day = cli.detect_day
+    atomic_open = store.atomic_open
 
-    def detect_day_failing_write(*args, **kwargs):
-        day = detect_day(*args, **kwargs)
-        for window in day.window_reports:
-            assert window.outcomes
-            window.outcomes = _FailingRows(window.outcomes)
-        return day
+    @contextlib.contextmanager
+    def atomic_open_full_disk(*args, **kwargs):
+        with atomic_open(*args, **kwargs) as handle:
+            yield _FullDisk(handle)
 
-    monkeypatch.setattr(cli, "detect_day", detect_day_failing_write)
+    monkeypatch.setattr(cli, "atomic_open", atomic_open_full_disk)
+    monkeypatch.setattr(detector, "atomic_open", atomic_open_full_disk)
     capsys.readouterr()
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: cannot write report {report}: disk full\n"
     # The old report keeps its bytes and no temp file is left behind.
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
+def test_non_finite_report_value_fails_jsonl_detect(synthetic_store, tmp_path, capsys, monkeypatch):
+    out_dir = tmp_path / "reports"
+    out_dir.mkdir()
+    report = out_dir / "report.jsonl"
+    argv = ["detect", "--source", "mno", "--date", str(MONDAY), "--output", str(report)]
+    argv += ["--store-root", str(synthetic_store)]
+    assert main(argv) == 0
+    before = report.read_bytes()
+
+    evaluate_window = _engine.evaluate_window
+
+    def evaluate_window_nan_ma(*args, **kwargs):
+        evaluation = evaluate_window(*args, **kwargs)
+        reported = np.flatnonzero(evaluation.cells.status != _engine.STATUS_NO_SIGNAL)
+        evaluation.cells.ma[reported[0]] = np.nan
+        return evaluation
+
+    monkeypatch.setattr(_engine, "evaluate_window", evaluate_window_nan_ma)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert "non-finite ma, sd or bound" in capsys.readouterr().err
+    # No non-JSON token reaches the report: the old one keeps its bytes and
+    # no temp file is left behind.
+    assert [p.name for p in out_dir.iterdir()] == [report.name]
+    assert report.read_bytes() == before
 
 
 def test_detect_unwritable_output_exits_one(synthetic_store, tmp_path, capsys):

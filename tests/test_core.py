@@ -154,13 +154,22 @@ def test_public_api_resolves():
     exec("from odmwatch import *", namespace)
     assert set(odmwatch.__all__) <= set(namespace)
 
-    # Report rows are plain tuples; the per-row object layer is gone.
+    # Report rows are columns: no per-row objects, no row-tuple helpers.
     from odmwatch import detector
 
     for name in ("KeyOutcome", "Signal", "FlowKey", "HistoryQuery", "HistorySlice", "ThresholdSet"):
         assert not hasattr(odmwatch, name), name
         assert name not in odmwatch.__all__, name
-    for name in ("KeyOutcome", "Signal", "_materialize_outcomes", "_outcome_row", "iter_outcome_rows"):
+    for name in (
+        "KeyOutcome",
+        "Signal",
+        "_materialize_outcomes",
+        "_outcome_row",
+        "iter_outcome_rows",
+        "_report_rows",
+        "_rows",
+        "_INC",
+    ):
         assert not hasattr(detector, name), name
     assert "timings" not in {f.name for f in dataclasses.fields(detector.WindowReport)}
     assert not hasattr(odmwatch.core, "FlowKey")

@@ -135,7 +135,7 @@ def history_slice(entries, p=4):
 def test_stable_world_no_signals():
     entries = flat_world()
     report = run_window(SparseOdm(W, entries), history_slice(entries), DetectorConfig())
-    assert report.outcomes == []
+    assert len(report.outcomes) == 0
     assert report.summary["no_signal"] == report.summary["keys"] > 0
 
 
@@ -198,7 +198,7 @@ def test_all_missing_history_marks_everything():
 def test_empty_everything_is_empty_report():
     report = run_window(SparseOdm(W, {}), (None,) * 4, DetectorConfig())
     assert report.summary["keys"] == 0
-    assert report.outcomes == []
+    assert len(report.outcomes) == 0
 
 
 def test_output_ordering_kind_then_labels():

@@ -1,0 +1,67 @@
+"""The column-by-column report writers against the row-by-row references in
+``helpers``, on random days: labels and sources that need JSON escaping,
+history periods all missing, ``th = 0`` windows with +inf increments,
+several windows a day, empty windows, and chunk sizes that split every
+kind's rows."""
+
+import datetime as dt
+import io
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import write_reference_csv, write_reference_jsonl
+from odmwatch import DayReport, DetectorConfig, SparseOdm, TimeWindow, detector, run_window
+from odmwatch.detector import write_day_report_csv, write_day_report_jsonl
+from odmwatch.ingestion import canonical_windows
+
+DATE = dt.date(2021, 6, 21)
+# Quote, backslash, the percent sign of the row template, control
+# characters, non-ASCII, U+2028 and a character outside the BMP.
+CHARS = st.sampled_from(["A", "z", ",", '"', "\\", "%", "\x00", "\n", "\x1f", "é", " ", "\U0001f600"])
+COUNTS = st.one_of(st.integers(1, 60), st.integers(1, 10**9))
+
+
+@st.composite
+def day_reports(draw):
+    labels = draw(st.lists(st.text(CHARS, min_size=1, max_size=3), min_size=1, max_size=6, unique=True))
+    areas = st.sampled_from(labels)
+    config = DetectorConfig(th=draw(st.sampled_from([0, 3, 20])), p=draw(st.integers(1, 3)), quantile=0.5)
+    source = draw(st.text(CHARS, max_size=3))
+
+    def matrix(window):
+        return SparseOdm(window, draw(st.dictionaries(st.tuples(areas, areas), COUNTS, max_size=12)))
+
+    windows = canonical_windows(DATE, draw(st.integers(1, 3)))
+    reports = []
+    for window in windows[: draw(st.integers(0, len(windows)))]:
+        history = [
+            matrix(TimeWindow(DATE - dt.timedelta(days=7 * k), window.start, window.end))
+            if draw(st.booleans())
+            else None
+            for k in range(1, config.p + 1)
+        ]
+        reports.append(run_window(matrix(window), history, config, source_id=source))
+    return DayReport(source_id=source, date=DATE, config=config, window_reports=reports)
+
+
+@settings(max_examples=300, deadline=None)
+@given(day_reports(), st.sampled_from([1, 3, 4096]))
+def test_column_writers_match_the_row_writers(report, chunk_rows):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(detector, "_CHUNK_ROWS", chunk_rows)
+        jsonl = io.StringIO()
+        write_day_report_jsonl(report, jsonl)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "report.csv"
+            write_day_report_csv(report, path)
+            csv_text = path.read_bytes().decode("utf-8")
+    expected = io.StringIO()
+    write_reference_jsonl(report, expected)
+    assert jsonl.getvalue() == expected.getvalue()
+    expected = io.StringIO(newline="")
+    write_reference_csv(report, expected)
+    assert csv_text == expected.getvalue()
