@@ -14,21 +14,20 @@ an unavailable history never masquerades as a drop.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from pathlib import Path
-from typing import IO, Iterator, Sequence
+from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import _engine
 from .core import SparseOdm, TimeWindow
-from .ingestion import window_gaps
-from .store import STRIDE_DAYS, HistoryStore, atomic_open, history_dates
+from .ingestion import csv_field, window_gaps
+from .store import STRIDE_DAYS, HistoryStore, StoreError, atomic_open, history_dates
 
 BOUNDS_MODES = ("clamped", "paper_literal")
 
@@ -51,18 +50,12 @@ REPORT_COLUMNS = (
     "upper",
 )
 
-# Labels indexed by the engine's STATUS_* and DIR_* codes, and their JSON
-# text; a signal's level is 1-3, and 0 stands for no level.
-_STATUS_NAMES = np.array(
-    ["no_signal", "signal", "below_eligibility", "missing_data"], dtype=object
-)
-_DIRECTION_NAMES = np.array([None, "upper", "lower"], dtype=object)
-_STATUS_JSON = np.array([json.dumps(name) for name in _STATUS_NAMES], dtype=object)
-_DIRECTION_JSON = np.array([json.dumps(name) for name in _DIRECTION_NAMES], dtype=object)
-_LEVEL_JSON = np.array(["null", "1", "2", "3"], dtype=object)
+# Labels indexed by the engine's STATUS_* and DIR_* codes.
+_STATUS_NAMES = ("no_signal", "signal", "below_eligibility", "missing_data")
+_DIRECTION_NAMES = (None, "upper", "lower")
 
-# Rows per string the JSONL writer builds, so that a report is never held
-# whole in memory.
+# Rows per string the writers build, so that a report is never held whole
+# in memory.
 _CHUNK_ROWS = 4096
 
 
@@ -124,44 +117,73 @@ class ReportRows:
         return sum(len(block) for *_, block in self.kinds)
 
     def __iter__(self) -> Iterator[tuple]:
-        for columns in self.columns():
-            yield from zip(*columns)
+        for kind, columns in self.chunks():
+            yield from zip(*(repeat(value) for value in (*self.head, kind)), *columns)
 
-    def columns(self, finite_inc: bool = False) -> Iterator[list]:
-        """Per series kind, its rows' ``REPORT_COLUMNS`` as sequences of
-        Python values. With ``finite_inc``, a non-finite increment (a flow
-        born from a zero average) is ``None``, as the CSV report writes it."""
-        names = np.array(self.labels, dtype=object)
+    def chunks(
+        self, text: Callable[[str], str] | None = None, null: str | None = None
+    ) -> Iterator[tuple[str, list[list]]]:
+        """Per series kind, in chunks of at most ``_CHUNK_ROWS`` rows, the kind
+        and its rows' ``REPORT_COLUMNS`` from ``origin`` on, as lists.
+
+        This is where a row's fields follow from its status: a missing-data
+        row has no ``ma`` or ``sd``, and only a signal has a level, an
+        increment and bounds. Without ``text`` the values are plain Python
+        values, ``None`` for a field the row does not have and the increment
+        as the raw float (``inf`` included). With ``text``, each label,
+        status and direction is ``text(value)``, a field the row does not
+        have or a non-finite increment is ``null``, and a non-finite ``ma``,
+        ``sd`` or signal bound raises ``ValueError``: no report text holds one.
+        """
+        encode = (lambda value: value) if text is None else text
+        names = np.array([encode(label) for label in self.labels], dtype=object)
+        statuses = np.array([encode(name) for name in _STATUS_NAMES], dtype=object)
+        directions = np.array(
+            [null if name is None else encode(name) for name in _DIRECTION_NAMES], dtype=object
+        )
         for kind, origin, destination, block in self.kinds:
-            n = len(block)
-            none = [None] * n
-            if block.ma is None:  # missing data: no period to compare to
-                ma = sd = direction = level = inc = lower = upper = none
-            else:
-                signal = block.status == _engine.STATUS_SIGNAL
-                ma, sd = block.ma.tolist(), block.sd.tolist()
-                direction = _DIRECTION_NAMES[block.direction].tolist()
-                level, lower, upper = (
-                    np.where(signal, values, None).tolist()
-                    for values in (block.level, block.lower, block.upper)
-                )
-                if finite_inc:
-                    signal &= np.isfinite(block.inc)
-                inc = np.where(signal, block.inc, None).tolist()
-            yield [
-                *(repeat(value, n) for value in (*self.head, kind)),
-                none if origin is None else names[origin].tolist(),
-                none if destination is None else names[destination].tolist(),
-                _STATUS_NAMES[block.status].tolist(),
-                direction,
-                level,
-                inc,
-                block.observed.tolist(),
-                ma,
-                sd,
-                lower,
-                upper,
-            ]
+            for start in range(0, len(block), _CHUNK_ROWS):
+                span = slice(start, start + _CHUNK_ROWS)
+                part = block.take(span)
+                nulls = [null] * len(part)
+                direction = level = inc = ma = sd = lower = upper = nulls
+                if part.ma is not None:  # missing data: no period to compare to
+                    signal = part.status == _engine.STATUS_SIGNAL
+                    if text is not None:
+                        numbers = (part.ma, part.sd, part.lower[signal], part.upper[signal])
+                        if not all(np.isfinite(values).all() for values in numbers):
+                            raise ValueError(
+                                f"window {self.head[2]}-{self.head[3]}: a {kind} row holds a "
+                                "non-finite ma, sd or bound, which a report cannot represent"
+                            )
+                        inc = _where(signal & np.isfinite(part.inc), part.inc, null)
+                    else:
+                        inc = _where(signal, part.inc, null)
+                    ma, sd = part.ma.tolist(), part.sd.tolist()
+                    direction = directions[part.direction].tolist()
+                    level, lower, upper = (
+                        _where(signal, values, null) for values in (part.level, part.lower, part.upper)
+                    )
+                yield kind, [
+                    nulls if origin is None else names[origin[span]].tolist(),
+                    nulls if destination is None else names[destination[span]].tolist(),
+                    statuses[part.status].tolist(),
+                    direction,
+                    level,
+                    inc,
+                    part.observed.tolist(),
+                    ma,
+                    sd,
+                    lower,
+                    upper,
+                ]
+
+
+def _where(written: np.ndarray, values: np.ndarray, null: str | None) -> list:
+    """``values`` as Python numbers where ``written``, else ``null``."""
+    column = np.full(len(values), null, dtype=object)
+    column[written] = values[written]
+    return column.tolist()
 
 
 @dataclass
@@ -275,7 +297,10 @@ def detect_day(
     for window in windows:
         current = store.get_snapshot(source_id, window)
         if current is None:
-            raise RuntimeError(f"window {window} disappeared from the store")
+            raise StoreError(
+                f"{source_id}/{date}: window {window.times_key()} was removed from the store "
+                "while detect read the date"
+            )
         history = store.fetch_history(source_id, window, config.p, config.stride)
         reports.append(run_window(current, history, config, source_id=source_id))
 
@@ -322,67 +347,28 @@ def _report_summary(report: DayReport) -> dict:
     return {"record": "summary", **report.summary()}
 
 
-def _json_numbers(values: np.ndarray, written: np.ndarray) -> list:
-    """``values`` as Python numbers where ``written``, else the text null.
-    ``%s`` formats a Python number as its ``repr``, as ``json.dumps`` does."""
-    column = np.full(len(values), "null", dtype=object)
-    column[written] = values[written]
-    return column.tolist()
-
-
-def _jsonl_rows(rows: ReportRows) -> Iterator[str]:
-    """The JSON lines of one window's rows, at most ``_CHUNK_ROWS`` per string.
-
-    Each label and the head of each kind's rows are encoded once, and each
-    row fills one ``%`` template. A non-finite increment is written as null;
-    any other non-finite number raises ``ValueError``, as
-    ``json.dumps(..., allow_nan=False)`` does, before its chunk is returned.
-    """
-    names = np.array([json.dumps(label) for label in rows.labels], dtype=object)
-    fields = REPORT_COLUMNS[5:]
-    for kind, origin, destination, block in rows.kinds:
-        head = json.dumps(dict(zip(REPORT_COLUMNS, (*rows.head, kind))), separators=(",", ":"))
-        prefix = head[:-1].replace("%", "%%") + ","
-        for start in range(0, len(block), _CHUNK_ROWS):
-            span = slice(start, start + _CHUNK_ROWS)
-            part = block.take(span)
-            values = {
-                "status": _STATUS_JSON[part.status].tolist(),
-                "observed": part.observed.tolist(),
-            }
-            if origin is not None:
-                values["origin"] = names[origin[span]].tolist()
-            if destination is not None:
-                values["destination"] = names[destination[span]].tolist()
-            if part.ma is not None:
-                signal = part.status == _engine.STATUS_SIGNAL
-                written = (part.ma, part.sd, part.lower[signal], part.upper[signal])
-                if not all(np.isfinite(v).all() for v in written):
-                    raise ValueError(
-                        f"window {rows.head[2]}-{rows.head[3]}: a {kind} row holds a "
-                        "non-finite ma, sd or bound, which JSON cannot represent"
-                    )
-                values.update(
-                    direction=_DIRECTION_JSON[part.direction].tolist(),
-                    level=_LEVEL_JSON[np.where(signal, part.level, 0)].tolist(),
-                    inc_percent=_json_numbers(part.inc, signal & np.isfinite(part.inc)),
-                    ma=part.ma.tolist(),
-                    sd=part.sd.tolist(),
-                    lower=_json_numbers(part.lower, signal),
-                    upper=_json_numbers(part.upper, signal),
-                )
-            template = ",".join(f'"{f}":%s' if f in values else f'"{f}":null' for f in fields)
-            columns = [values[f] for f in fields if f in values]
-            yield "".join(map(f"{prefix}{template}}}\n".__mod__, zip(*columns)))
+def _write_rows(
+    report: DayReport, handle: IO[str], text: Callable[[str], str], null: str, template: str
+) -> None:
+    """Write every row of ``report``, one string per chunk of
+    ``ReportRows.chunks(text, null)``: each row fills ``template``, whose 16
+    ``%s`` take the ``REPORT_COLUMNS`` in order, after the head (source,
+    date, start, end, kind) is put in as ``text`` with ``%`` escaped."""
+    fields = ("%s",) * (len(REPORT_COLUMNS) - 5)
+    for window in report.window_reports:
+        rows = window.outcomes
+        for kind, columns in rows.chunks(text, null):
+            head = (text(value).replace("%", "%%") for value in (*rows.head, kind))
+            line = template % (*head, *fields)
+            handle.write("".join(map(line.__mod__, zip(*columns))))
 
 
 def write_day_report_jsonl(report: DayReport, handle: IO[str]) -> None:
     """Header line, one line per non-level0 outcome, one summary line."""
     dump = lambda obj: json.dumps(obj, separators=(",", ":"), allow_nan=False)
     handle.write(dump(_report_header(report)) + "\n")
-    for window in report.window_reports:
-        for chunk in _jsonl_rows(window.outcomes):
-            handle.write(chunk)
+    row = "{" + ",".join(f'"{name}":%s' for name in REPORT_COLUMNS) + "}\n"
+    _write_rows(report, handle, json.dumps, "null", row)
     handle.write(dump(_report_summary(report)) + "\n")
 
 
@@ -392,11 +378,8 @@ def write_day_report_csv(report: DayReport, path: str | Path) -> None:
     replaced atomically."""
     path = Path(path)
     with atomic_open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
-        for window in report.window_reports:
-            for columns in window.outcomes.columns(finite_inc=True):
-                writer.writerows(zip(*columns))
+        handle.write(",".join(REPORT_COLUMNS) + "\n")
+        _write_rows(report, handle, csv_field, "", ",".join(["%s"] * len(REPORT_COLUMNS)) + "\n")
     meta = {"header": _report_header(report), "summary": _report_summary(report)}
     with atomic_open(path.with_name(path.name + ".meta.json"), "w", encoding="utf-8") as handle:
         handle.write(json.dumps(meta, separators=(",", ":"), allow_nan=False) + "\n")

@@ -14,7 +14,10 @@ import io
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 from typing import IO, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .core import MAX_COUNT, SparseOdm, TimeWindow
 
@@ -200,21 +203,34 @@ def parse_file(path: str | Path) -> list[SparseOdm]:
         return parse_rows(iter_csv_rows(handle, path.name), path.name)
 
 
-def records_for(snapshot: SparseOdm) -> Iterator[tuple[str, str, str, str, str, str]]:
-    """Serialize a snapshot back to CSV field tuples, deterministically ordered."""
+# csv.writer returns what its file's ``write`` returns: here, the line itself.
+_CSV_LINE = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
+
+
+def csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as one field of a row ending in
+    ``\\n``: quoted when it holds a comma, a double quote or ``\\n``. An empty
+    field stays empty; ``csv.writer`` quotes it only as a row's one field."""
+    return _CSV_LINE.writerow((text,))[:-1] if text else ""
+
+
+def window_csv(snapshot: SparseOdm) -> str:
+    """A snapshot's rows in the input format, one line per cell in code
+    (origin, destination) order, as ``csv.writer`` writes them."""
     w = snapshot.window
-    date_s = w.date.isoformat()
-    start_s = w.start.isoformat()
-    end_s = w.end.isoformat()
-    for (origin, destination), count in snapshot.cells():
-        yield (date_s, start_s, end_s, origin, destination, str(count))
+    head = f"{w.date.isoformat()},{w.start.isoformat()},{w.end.isoformat()}"
+    names = np.array([csv_field(label) for label in snapshot.labels], dtype=object)
+    origins, dests = np.divmod(snapshot.codes, max(1, len(names)))
+    rows = zip(names[origins].tolist(), names[dests].tolist(), snapshot.counts.tolist())
+    return "".join(map(f"{head},%s,%s,%d\n".__mod__, rows))
 
 
 def write_snapshots_csv(snapshots: Sequence[SparseOdm], handle: IO[str]) -> None:
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    """Write snapshots as one input-format CSV, in window order. Only
+    ``handle.write`` is called, once for the header and once per window."""
+    handle.write(",".join(CSV_COLUMNS) + "\n")
     for snapshot in sorted(snapshots, key=lambda m: m.window):
-        writer.writerows(records_for(snapshot))
+        handle.write(window_csv(snapshot))
 
 
 def canonical_windows(date: dt.date, per_day: int) -> list[TimeWindow]:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import datetime as dt
 import hashlib
-import io
 import json
 import logging
 import operator
@@ -37,6 +36,7 @@ import re
 import secrets
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
@@ -271,9 +271,8 @@ class HistoryStore:
 
 def _encode_day(date: dt.date, day: Sequence[SparseOdm]) -> bytes:
     """The bytes of a date file holding ``day``, in (start, end) order."""
-    csv_text = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
-    write_snapshots_csv(day, csv_text)
-    csv_text.flush()
+    csv_sha256 = hashlib.sha256()
+    write_snapshots_csv(day, SimpleNamespace(write=lambda text: csv_sha256.update(text.encode())))
     payload = b"".join(
         a.astype(_INT64, copy=False).tobytes() for m in day for a in (m.codes, m.counts)
     )
@@ -291,7 +290,7 @@ def _encode_day(date: dt.date, day: Sequence[SparseOdm]) -> bytes:
                 for m in day
             ],
             "sha256": hashlib.sha256(payload).hexdigest(),
-            "csv_sha256": hashlib.sha256(csv_text.buffer.getbuffer()).hexdigest(),
+            "csv_sha256": csv_sha256.hexdigest(),
         },
         separators=(",", ":"),
     )

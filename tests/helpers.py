@@ -23,6 +23,7 @@ from odmwatch.detector import (
     _report_header,
     _report_summary,
 )
+from odmwatch.ingestion import CSV_COLUMNS
 from odmwatch.store import HistoryStore
 
 BASE_DATE = dt.date(2021, 6, 7)  # a Monday
@@ -273,3 +274,15 @@ def write_reference_csv(report, handle: IO[str]) -> None:
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(REPORT_COLUMNS)
     writer.writerows(reference_rows(report))
+
+
+def write_reference_snapshots_csv(snapshots, handle: IO[str]) -> None:
+    """Snapshots as ``write_snapshots_csv`` must write them: a ``csv.writer``
+    over the ``(date, start, end, origin, destination, str(count))`` rows of
+    each window, in window order and then in cell order."""
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for snapshot in sorted(snapshots, key=lambda m: m.window):
+        w = snapshot.window
+        times = (w.date.isoformat(), w.start.isoformat(), w.end.isoformat())
+        writer.writerows((*times, *pair, str(count)) for pair, count in snapshot.cells())

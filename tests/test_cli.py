@@ -257,14 +257,16 @@ def test_failed_report_write_keeps_previous_report(
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
 
-def test_non_finite_report_value_fails_jsonl_detect(synthetic_store, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_non_finite_report_value_fails_detect(synthetic_store, tmp_path, capsys, monkeypatch, fmt):
     out_dir = tmp_path / "reports"
     out_dir.mkdir()
-    report = out_dir / "report.jsonl"
+    report = out_dir / f"report.{fmt}"
     argv = ["detect", "--source", "mno", "--date", str(MONDAY), "--output", str(report)]
-    argv += ["--store-root", str(synthetic_store)]
+    argv += ["--store-root", str(synthetic_store), "--format", fmt]
     assert main(argv) == 0
-    before = report.read_bytes()
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert len(before) == (2 if fmt == "csv" else 1)
 
     evaluate_window = _engine.evaluate_window
 
@@ -278,10 +280,31 @@ def test_non_finite_report_value_fails_jsonl_detect(synthetic_store, tmp_path, c
     capsys.readouterr()
     assert main(argv) == 1
     assert "non-finite ma, sd or bound" in capsys.readouterr().err
-    # No non-JSON token reaches the report: the old one keeps its bytes and
-    # no temp file is left behind.
-    assert [p.name for p in out_dir.iterdir()] == [report.name]
-    assert report.read_bytes() == before
+    # No "nan" token reaches a report: the old report (and CSV sidecar) keeps
+    # its bytes and no temp file is left behind.
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
+def test_detect_date_pruned_during_read_exits_one(synthetic_store, tmp_path, capsys, monkeypatch):
+    # A concurrent ingest of a date 36 or more days later prunes the date
+    # between listing its windows and reading them.
+    windows_for = HistoryStore.windows_for
+
+    def windows_for_then_prune(self, source_id, date):
+        windows = windows_for(self, source_id, date)
+        (synthetic_store / source_id / f"{date}.odm").unlink()
+        return windows
+
+    monkeypatch.setattr(HistoryStore, "windows_for", windows_for_then_prune)
+    out = tmp_path / "report.jsonl"
+    argv = ["detect", "--source", "mno", "--date", str(MONDAY), "--output", str(out)]
+    assert main(argv + ["--store-root", str(synthetic_store)]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: mno/{MONDAY}: window 00:00:00-23:59:59 was removed from the store "
+        "while detect read the date\n"
+    )
+    assert not out.exists()
 
 
 def test_detect_unwritable_output_exits_one(synthetic_store, tmp_path, capsys):

@@ -169,8 +169,17 @@ def test_public_api_resolves():
         "_report_rows",
         "_rows",
         "_INC",
+        # One row encoder (ReportRows.chunks) for both report formats.
+        "_jsonl_rows",
+        "_json_numbers",
+        "_STATUS_JSON",
+        "_DIRECTION_JSON",
+        "_LEVEL_JSON",
+        "csv",
     ):
         assert not hasattr(detector, name), name
+    assert not hasattr(detector.ReportRows, "columns")
+    assert not hasattr(odmwatch.ingestion, "records_for")
     assert "timings" not in {f.name for f in dataclasses.fields(detector.WindowReport)}
     assert not hasattr(odmwatch.core, "FlowKey")
     assert not hasattr(odmwatch.store, "HistoryQuery") and not hasattr(odmwatch.store, "HistorySlice")

@@ -1,8 +1,9 @@
 """The column-by-column report writers against the row-by-row references in
-``helpers``, on random days: labels and sources that need JSON escaping,
-history periods all missing, ``th = 0`` windows with +inf increments,
-several windows a day, empty windows, and chunk sizes that split every
-kind's rows."""
+``helpers``, on random days: labels and sources that need JSON escaping or
+CSV quoting, history periods all missing, ``th = 0`` windows with +inf
+increments, several windows a day, empty windows, and chunk sizes that
+split every kind's rows. The store's CSV rendering of snapshots is checked
+against ``csv.writer`` on the same labels."""
 
 import datetime as dt
 import io
@@ -13,22 +14,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import write_reference_csv, write_reference_jsonl
+from helpers import write_reference_csv, write_reference_jsonl, write_reference_snapshots_csv
 from odmwatch import DayReport, DetectorConfig, SparseOdm, TimeWindow, detector, run_window
 from odmwatch.detector import write_day_report_csv, write_day_report_jsonl
-from odmwatch.ingestion import canonical_windows
+from odmwatch.ingestion import canonical_windows, write_snapshots_csv
 
 DATE = dt.date(2021, 6, 21)
 # Quote, backslash, the percent sign of the row template, control
-# characters, non-ASCII, U+2028 and a character outside the BMP.
-CHARS = st.sampled_from(["A", "z", ",", '"', "\\", "%", "\x00", "\n", "\x1f", "é", " ", "\U0001f600"])
+# characters (both line breaks), non-ASCII, U+2028 and a character outside
+# the BMP.
+CHARS = st.sampled_from(["A", "z", ",", '"', "\\", "%", "\x00", "\n", "\r", "\x1f", "é", " ", "\U0001f600"])
 COUNTS = st.one_of(st.integers(1, 60), st.integers(1, 10**9))
+
+
+LABELS = st.lists(st.text(CHARS, min_size=1, max_size=3), min_size=1, max_size=6, unique=True)
 
 
 @st.composite
 def day_reports(draw):
-    labels = draw(st.lists(st.text(CHARS, min_size=1, max_size=3), min_size=1, max_size=6, unique=True))
-    areas = st.sampled_from(labels)
+    areas = st.sampled_from(draw(LABELS))
     config = DetectorConfig(th=draw(st.sampled_from([0, 3, 20])), p=draw(st.integers(1, 3)), quantile=0.5)
     source = draw(st.text(CHARS, max_size=3))
 
@@ -65,3 +69,21 @@ def test_column_writers_match_the_row_writers(report, chunk_rows):
     expected = io.StringIO(newline="")
     write_reference_csv(report, expected)
     assert csv_text == expected.getvalue()
+
+
+@st.composite
+def snapshot_days(draw):
+    areas = st.sampled_from(draw(LABELS))
+    windows = canonical_windows(DATE, draw(st.integers(1, 3)))
+    cells = st.dictionaries(st.tuples(areas, areas), COUNTS, max_size=12)
+    return [SparseOdm(window, draw(cells)) for window in draw(st.permutations(windows))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(snapshot_days())
+def test_snapshot_csv_matches_csv_writer(snapshots):
+    written = io.StringIO()
+    write_snapshots_csv(snapshots, written)
+    expected = io.StringIO(newline="")
+    write_reference_snapshots_csv(snapshots, expected)
+    assert written.getvalue() == expected.getvalue()

@@ -216,7 +216,7 @@ def test_windows_for_parses_no_file(store, monkeypatch):
 
     assert not hasattr(store_module, "parse_rows")
     with monkeypatch.context() as patch:
-        for name in ("parse_rows", "iter_csv_rows", "records_for"):
+        for name in ("parse_rows", "iter_csv_rows", "window_csv"):
             patch.setattr(ingestion, name, no_parse)
         assert store.windows_for("src", MONDAY) == [morning.window, noon.window, evening.window]
         assert store.dates_for("src") == [MONDAY]
@@ -514,17 +514,17 @@ CRASH_MID_REINGEST = """
 import os, sys
 from odmwatch import cli, ingestion
 
-render = ingestion.records_for
+render = ingestion.window_csv
 rendered = []
 
-def records_for(snapshot):
-    # Die as the fifth window is written out, after four were.
+def window_csv(snapshot):
+    # Die as the fifth window is rendered, after four were.
     rendered.append(snapshot.window)
     if len(rendered) == 5:
         os._exit(17)
     return render(snapshot)
 
-ingestion.records_for = records_for
+ingestion.window_csv = window_csv
 sys.exit(cli.main(sys.argv[1:]))
 """
 
