@@ -43,7 +43,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -152,15 +151,16 @@ class WindowEvaluation:
 def nearest_rank(q: float, n: int) -> int:
     """1-based nearest-rank index: ceil(q*n), computed exactly.
 
-    The float q is expanded to its exact binary ratio before the ceil so
-    that ranks never drift by one from rounding (e.g. q=0.7, n=10).
+    The float q is expanded to its exact binary ratio a/b before the ceil,
+    taken in integers, so that ranks never drift by one from rounding
+    (e.g. q=0.7, n=10).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 < q < 1.0:
         raise ValueError("quantile level must be in (0, 1)")
-    rank = -((-Fraction(*q.as_integer_ratio()) * n) // 1)  # ceil
-    return max(1, min(n, int(rank)))
+    a, b = q.as_integer_ratio()
+    return max(1, min(n, -((-a * n) // b)))  # ceil(a * n / b)
 
 
 def _value_cap(periods: int) -> int:

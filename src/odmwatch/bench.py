@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._engine import Columnar, evaluate_window
-from .detector import DetectorConfig
+from .core import DetectorConfig
 from .synth import sample_distinct_codes
 
 

@@ -11,18 +11,13 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import logging
+import os
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import NoReturn
 
-from .bench import run_bench
-from .detector import (
-    BOUNDS_MODES,
-    DetectorConfig,
-    detect_day,
-    write_day_report_csv,
-    write_day_report_jsonl,
-)
+from .core import BOUNDS_MODES, STRIDE_DAYS, DetectorConfig
 from .ingestion import (
     OdmIntegrityError,
     OdmParseError,
@@ -30,8 +25,10 @@ from .ingestion import (
     parse_file,
     validate_day,
 )
-from .store import STRIDE_DAYS, HistoryStore, StoreError, atomic_open, retention_for
-from .synth import SynthSpecError, generate, load_spec_file, write_generated
+from .store import HistoryStore, StoreError, atomic_open, retention_for
+
+# Each command imports the modules only it runs (detector, synth, bench)
+# inside its own function, so that no command pays for another's imports.
 
 logger = logging.getLogger("odmwatch")
 
@@ -151,6 +148,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
+    from .detector import detect_day, write_day_report_csv, write_day_report_jsonl
+
     config = build_config(args)
     try:
         date = dt.date.fromisoformat(args.date)
@@ -187,6 +186,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from .synth import SynthSpecError, generate, load_spec_file, write_generated
+
     try:
         spec, start, days, warmup_days = load_spec_file(args.spec_file)
         snapshots, ground_truth = generate(spec, start, days, warmup_days)
@@ -202,6 +203,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from .bench import run_bench
+
     config = build_config(args)
     nonzeros = args.nonzeros
     if nonzeros is None:
@@ -300,5 +303,32 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
 
 
+def run() -> NoReturn:
+    """Run ``main`` as a whole process: flush the standard streams, then end
+    the process with ``os._exit``, skipping interpreter teardown (module
+    finalization and freeing everything the command built). Nothing is lost
+    by that: every file a command writes is closed before ``main`` returns,
+    and the store's files and the reports are fsynced as well. An
+    exception, or argparse's ``SystemExit``, leaves through the normal exit
+    path."""
+    status = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(status)
+
+
+_DETECTOR_NAMES = ("detect_day", "write_day_report_csv", "write_day_report_jsonl")
+
+
+def __getattr__(name: str):
+    # ``cli.detect_day`` and the report writers still resolve, to whatever
+    # ``detector`` binds at the time, without this module importing it.
+    if name in _DETECTOR_NAMES:
+        from . import detector
+
+        return getattr(detector, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

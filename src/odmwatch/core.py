@@ -24,6 +24,36 @@ FULL_DAY_END = dt.time(23, 59, 59)
 # Counts are stored and evaluated as int64.
 MAX_COUNT = 2**63 - 1
 
+# History strides: days between consecutive past periods.
+STRIDE_DAYS = {"daily": 1, "weekly": 7}
+
+BOUNDS_MODES = ("clamped", "paper_literal")
+
+
+@dataclass(frozen=True, kw_only=True)
+class DetectorConfig:
+    """The five detection parameters, in the report header's order: the
+    eligibility threshold th, the window length p, the daily quantile, the
+    history stride and the lower-bound mode."""
+
+    th: int = 20
+    p: int = 4
+    quantile: float = 0.75
+    stride: str = "weekly"
+    bounds_mode: str = "clamped"
+
+    def __post_init__(self) -> None:
+        if self.th < 0:
+            raise ValueError("th must be >= 0")
+        if self.p < 1:
+            raise ValueError("p must be >= 1")
+        if not 0.0 < self.quantile < 1.0:
+            raise ValueError("quantile must be in (0, 1)")
+        if self.stride not in STRIDE_DAYS:
+            raise ValueError(f"stride must be one of {sorted(STRIDE_DAYS)}, got {self.stride!r}")
+        if self.bounds_mode not in BOUNDS_MODES:
+            raise ValueError(f"bounds_mode must be one of {BOUNDS_MODES}")
+
 
 @dataclass(frozen=True, order=True)
 class TimeWindow:

@@ -25,11 +25,10 @@ from typing import IO, Callable, Iterator, Sequence
 import numpy as np
 
 from . import _engine
-from .core import SparseOdm, TimeWindow
+# BOUNDS_MODES, STRIDE_DAYS and DetectorConfig live in core; their names stay here too.
+from .core import BOUNDS_MODES, STRIDE_DAYS, DetectorConfig, SparseOdm, TimeWindow  # noqa: F401
 from .ingestion import csv_field, window_gaps
-from .store import STRIDE_DAYS, HistoryStore, StoreError, atomic_open, history_dates
-
-BOUNDS_MODES = ("clamped", "paper_literal")
+from .store import HistoryStore, StoreError, atomic_open, history_dates
 
 REPORT_COLUMNS = (
     "source",
@@ -57,31 +56,6 @@ _DIRECTION_NAMES = (None, "upper", "lower")
 # Rows per string the writers build, so that a report is never held whole
 # in memory.
 _CHUNK_ROWS = 4096
-
-
-@dataclass(frozen=True, kw_only=True)
-class DetectorConfig:
-    """The five detection parameters, in the report header's order: the
-    eligibility threshold th, the window length p, the daily quantile, the
-    history stride and the lower-bound mode."""
-
-    th: int = 20
-    p: int = 4
-    quantile: float = 0.75
-    stride: str = "weekly"
-    bounds_mode: str = "clamped"
-
-    def __post_init__(self) -> None:
-        if self.th < 0:
-            raise ValueError("th must be >= 0")
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
-        if not 0.0 < self.quantile < 1.0:
-            raise ValueError("quantile must be in (0, 1)")
-        if self.stride not in STRIDE_DAYS:
-            raise ValueError(f"stride must be one of {sorted(STRIDE_DAYS)}, got {self.stride!r}")
-        if self.bounds_mode not in BOUNDS_MODES:
-            raise ValueError(f"bounds_mode must be one of {BOUNDS_MODES}")
 
 
 class ReportRows:
@@ -136,7 +110,14 @@ class ReportRows:
         ``sd`` or signal bound raises ``ValueError``: no report text holds one.
         """
         encode = (lambda value: value) if text is None else text
-        names = np.array([encode(label) for label in self.labels], dtype=object)
+        used: set[int] = set()
+        for _, origin, destination, _ in self.kinds:
+            for side in (origin, destination):
+                if side is not None:
+                    used.update(side.tolist())
+        names = np.empty(len(self.labels), dtype=object)  # a label no row uses stays None
+        for i in used:
+            names[i] = encode(self.labels[i])
         statuses = np.array([encode(name) for name in _STATUS_NAMES], dtype=object)
         directions = np.array(
             [null if name is None else encode(name) for name in _DIRECTION_NAMES], dtype=object

@@ -41,12 +41,11 @@ from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .core import SparseOdm, TimeWindow
+from .core import STRIDE_DAYS, SparseOdm, TimeWindow
 from .ingestion import SourceProfile, write_snapshots_csv
 
 logger = logging.getLogger(__name__)
 
-STRIDE_DAYS = {"daily": 1, "weekly": 7}
 FORMAT = 1
 _DATE_FILE = re.compile(r"^(\d{4}-\d{2}-\d{2})\.odm$")
 _INT64 = np.dtype("<i8")
@@ -129,7 +128,13 @@ class HistoryStore:
             },
             separators=(",", ":"),
         )
-        with atomic_open(directory / "profile.json", "w", encoding="utf-8") as handle:
+        path = directory / "profile.json"
+        try:
+            if path.read_bytes() == payload.encode("utf-8"):
+                return  # already stored: no temp file, fsync or rename
+        except OSError:
+            pass
+        with atomic_open(path, "w", encoding="utf-8") as handle:
             handle.write(payload)
 
     def get_profile(self, source_id: str) -> SourceProfile | None:

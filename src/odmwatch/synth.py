@@ -22,10 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from ._engine import distinct_sorted
-from .core import SparseOdm, TimeWindow
-from .detector import DetectorConfig
+from .core import STRIDE_DAYS, DetectorConfig, SparseOdm, TimeWindow
 from .ingestion import canonical_windows, write_snapshots_csv
-from .store import STRIDE_DAYS
 
 
 class SynthSpecError(ValueError):

@@ -1,0 +1,115 @@
+"""The command line as a whole process: ``python -m odmwatch.cli``, which
+ends through ``cli.run`` with ``os._exit``, and the modules each command
+loads."""
+
+import datetime as dt
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import odmwatch
+
+MONDAY = dt.date(2021, 6, 7)
+HEADER = "date,start,end,origin,destination,count\n"
+SRC = str(Path(odmwatch.__file__).resolve().parents[1])
+# Without PYTHONUNBUFFERED, stdout into a pipe is block-buffered, so output
+# survives ``os._exit`` only if ``run`` flushes it.
+ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}, "PYTHONPATH": SRC}
+# What only detect, generate or bench runs; ingest must load none of it.
+NOT_FOR_INGEST = ("odmwatch.detector", "odmwatch._engine", "odmwatch.synth", "odmwatch.bench", "fractions")
+
+
+def python(*args, cwd):
+    """Run the interpreter with stdout and stderr as pipes."""
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=ENV, capture_output=True, text=True, timeout=120
+    )
+
+
+def odmwatch_cli(*argv, cwd):
+    return python("-m", "odmwatch.cli", *argv, cwd=cwd)
+
+
+def week_of_days(tmp_path, dates=7):
+    """One file of ``dates`` whole-day windows, one a day from MONDAY."""
+    lines = [HEADER]
+    for k in range(dates):
+        day = MONDAY + dt.timedelta(days=k)
+        lines.append(f"{day},00:00:00,23:59:59,A,B,{30 + k}\n")
+    path = tmp_path / "days.csv"
+    path.write_text("".join(lines), encoding="utf-8")
+    return str(path)
+
+
+def test_exit_codes_and_stdout_come_through_run(tmp_path):
+    days = week_of_days(tmp_path)
+    store = ["--source", "src", "--store-root", "store"]
+
+    ingest = odmwatch_cli("ingest", days, *store, cwd=tmp_path)
+    assert ingest.returncode == 0, ingest.stderr
+    lines = ingest.stdout.splitlines()
+    assert [json.loads(line)["date"] for line in lines] == [
+        (MONDAY + dt.timedelta(days=k)).isoformat() for k in range(7)
+    ]
+
+    missing = odmwatch_cli("ingest", days, *store, "--expected-windows", "2", cwd=tmp_path)
+    assert missing.returncode == 2, missing.stderr
+    assert len(missing.stdout.splitlines()) == 7
+
+    detect = odmwatch_cli("detect", *store, "--date", str(MONDAY), "--output", "r.jsonl", cwd=tmp_path)
+    assert detect.returncode == 0, detect.stderr
+    assert detect.stdout == "src 2021-06-07: 1 windows, 0 signals (upper 0, lower 0) -> r.jsonl\n"
+    report = (tmp_path / "r.jsonl").read_text(encoding="utf-8").splitlines()
+    assert json.loads(report[-1])["record"] == "summary"
+
+    gone = odmwatch_cli("detect", *store, "--date", "2021-07-01", "--output", "r.jsonl", cwd=tmp_path)
+    assert gone.returncode == 3
+    assert gone.stdout.endswith("-> r.jsonl\n")
+    assert gone.stderr == "warning: no stored windows for src on 2021-07-01\n"
+
+    bad = tmp_path / "bad.csv"
+    bad.write_text(HEADER + f"{MONDAY},00:00:00,23:59:59,A,B,oops\n", encoding="utf-8")
+    error = odmwatch_cli("ingest", str(bad), *store, cwd=tmp_path)
+    assert error.returncode == 1
+    assert "bad.csv:2" in error.stderr
+
+
+def test_argparse_exits_take_the_normal_path(tmp_path):
+    usage = odmwatch_cli("ingest", cwd=tmp_path)
+    assert usage.returncode == 2
+    assert "the following arguments are required" in usage.stderr
+    helped = odmwatch_cli("--help", cwd=tmp_path)
+    assert helped.returncode == 0
+    assert helped.stdout.startswith("usage: odmwatch")
+
+
+def imported_modules(stderr):
+    """Module names from ``-X importtime`` output."""
+    return {line.rsplit("|", 1)[1].strip() for line in stderr.splitlines() if line.startswith("import time:")}
+
+
+def test_ingest_loads_only_what_it_runs(tmp_path):
+    days = week_of_days(tmp_path)
+    store = ["--source", "src", "--store-root", "store"]
+    ingest = python("-X", "importtime", "-m", "odmwatch.cli", "ingest", days, *store, cwd=tmp_path)
+    assert ingest.returncode == 0, ingest.stderr
+    loaded = imported_modules(ingest.stderr)
+    assert {"odmwatch.core", "odmwatch.ingestion", "odmwatch.store"} <= loaded
+    assert loaded.isdisjoint(NOT_FOR_INGEST), sorted(loaded & set(NOT_FOR_INGEST))
+
+    detect = python(
+        "-X", "importtime", "-m", "odmwatch.cli", "detect", *store, "--date", str(MONDAY), cwd=tmp_path
+    )
+    assert detect.returncode == 0, detect.stderr
+    loaded = imported_modules(detect.stderr)
+    assert {"odmwatch.detector", "odmwatch._engine"} <= loaded
+    assert loaded.isdisjoint({"odmwatch.synth", "odmwatch.bench", "fractions"})
+
+
+def test_bare_import_loads_no_submodule(tmp_path):
+    code = "import sys, odmwatch; print(sorted(m for m in sys.modules if m.startswith('odmwatch.')))"
+    child = python("-c", code, cwd=tmp_path)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[]\n"

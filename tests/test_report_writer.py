@@ -7,6 +7,7 @@ against ``csv.writer`` on the same labels."""
 
 import datetime as dt
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -87,3 +88,28 @@ def test_snapshot_csv_matches_csv_writer(snapshots):
     expected = io.StringIO(newline="")
     write_reference_snapshots_csv(snapshots, expected)
     assert written.getvalue() == expected.getvalue()
+
+
+def test_row_encoder_encodes_only_the_labels_its_rows_use():
+    # A and B carry the only signal; C and D stay in bounds, so no row
+    # names them; the X diagonal cells set the day's quantile and leave
+    # zero, below-eligibility marginals.
+    def cells(ab, cd):
+        return {("A", "B"): ab, ("C", "D"): cd, **{(f"X{i}", f"X{i}"): 100 for i in range(9)}}
+
+    history = [
+        SparseOdm(TimeWindow.full_day(DATE - dt.timedelta(days=7 * k)), cells(v, v))
+        for k, v in enumerate([90, 110, 90, 110], 1)
+    ]
+    rows = run_window(SparseOdm(TimeWindow.full_day(DATE), cells(1000, 100)), history, DetectorConfig()).outcomes
+    used = {label for row in rows for label in row[5:7] if label is not None}
+    assert used == {"A", "B", *(f"X{i}" for i in range(9))}
+
+    encoded = []
+
+    def text(value):
+        encoded.append(value)
+        return json.dumps(value)
+
+    list(rows.chunks(text, "null"))
+    assert sorted(value for value in encoded if value in rows.labels) == sorted(used)

@@ -149,6 +149,28 @@ def test_profile_round_trip(store):
     assert stored == {"source_id": "src", "expected_windows_per_day": 24}
 
 
+def test_reingest_with_the_same_profile_leaves_profile_json_alone(tmp_path):
+    day = tmp_path / "day.csv"
+    day.write_bytes(HEADER + f"{MONDAY},00:00:00,23:59:59,A,B,5\n".encode())
+    root = tmp_path / "store"
+    path = root / "src" / "profile.json"
+
+    def ingest(expected_windows):
+        argv = ["ingest", str(day), "--source", "src", "--store-root", str(root)]
+        return main([*argv, "--expected-windows", str(expected_windows)])
+
+    assert ingest(1) == 0
+    first = path.stat()
+    assert ingest(1) == 0
+    again = path.stat()
+    assert (again.st_ino, again.st_mtime_ns) == (first.st_ino, first.st_mtime_ns)
+    assert ingest(2) == 2  # stored, but one of two windows is missing
+    changed = path.stat()
+    assert changed.st_ino != first.st_ino
+    assert HistoryStore(root).get_profile("src") == SourceProfile("src", expected_windows_per_day=2)
+    assert [p.name for p in path.parent.iterdir() if p.name.startswith(".")] == []
+
+
 def test_profile_with_retired_key_still_loads(store):
     # Profiles once also stored has_diagonal_as_stayers; nothing reads it.
     path = store.root / "src" / "profile.json"

@@ -2,6 +2,8 @@
 engine computes them (see the ``_engine`` module docstring for the rules)."""
 
 import datetime as dt
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -51,6 +53,23 @@ def test_nearest_rank_exactness():
     assert nearest_rank(0.75, 1) == 1
     assert nearest_rank(0.5, 2) == 1
     assert nearest_rank(0.999, 1000) == 999
+
+
+def test_nearest_rank_matches_an_exact_fraction_ceil():
+    quantiles = [k / 100 for k in range(1, 100)] + [
+        1 / 3,
+        2 / 3,
+        0.1 + 0.2,
+        1e-9,
+        2.0**-60,
+        1 - 2.0**-53,
+        math.nextafter(0.5, 0.0),
+        math.nextafter(0.5, 1.0),
+        math.nextafter(0.7, 1.0),
+    ]
+    for q in quantiles:
+        for n in range(1, 501):
+            assert nearest_rank(q, n) == math.ceil(Fraction(q) * n), (q, n)
 
 
 # The history of the worked example: ma 100, sd 10.
