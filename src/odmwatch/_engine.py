@@ -68,9 +68,10 @@ class Columnar:
 def columnar_from_entries(matrix, ranks: np.ndarray, n_areas: int) -> Columnar:
     """Re-encode a matrix's codes and counts over its ``len(ranks)`` labels
     onto ``n_areas`` labels, its label i becoming ``ranks[i]``. Increasing
-    ranks keep the codes sorted."""
-    origins, dests = np.divmod(matrix.codes, max(1, len(ranks)))
-    return Columnar(ranks[origins] * n_areas + ranks[dests], matrix.counts)
+    ranks keep the codes sorted. The counts are viewed, not copied."""
+    codes, counts = (np.frombuffer(a, np.int64) for a in (matrix.codes, matrix.counts))
+    origins, dests = np.divmod(codes, max(1, len(ranks)))
+    return Columnar(ranks[origins] * n_areas + ranks[dests], counts)
 
 
 class EngineLimitError(ValueError):

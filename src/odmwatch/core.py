@@ -10,10 +10,11 @@ always exclude them.
 from __future__ import annotations
 
 import datetime as dt
+import operator
+from array import array
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
 
 # Area labels are opaque strings; the label set is discovered from data.
 AreaId = str
@@ -83,8 +84,10 @@ class SparseOdm:
     ``labels`` is the sorted tuple of the areas of the nonzero cells.
     ``codes`` holds one strictly increasing int64 code per nonzero cell,
     ``origin_rank * len(labels) + destination_rank``, and ``counts`` the
-    matching int64 counts, all > 0. Both arrays are read-only. Zero counts
-    are dropped on construction, so "absent" and "zero" stay interchangeable.
+    matching int64 counts, all > 0. Both are read-only ``memoryview``s of
+    format ``q``; ``np.frombuffer(m.codes, np.int64)`` views one as a
+    read-only array without a copy. Zero counts are dropped on
+    construction, so "absent" and "zero" stay interchangeable.
     """
 
     __slots__ = ("window", "labels", "codes", "counts")
@@ -133,35 +136,36 @@ class SparseOdm:
     @classmethod
     def from_columns(cls, window: TimeWindow, labels: Sequence[AreaId], codes, counts):
         """Wrap columns already in this form, unchecked: sorted labels, each used
-        by a cell; strictly increasing int64 codes below ``len(labels)**2``;
-        int64 counts > 0."""
+        by a cell; strictly increasing codes below ``len(labels)**2``; counts > 0.
+        ``codes`` and ``counts`` are C-contiguous buffers of native int64 (an
+        ``array('q')``, a numpy int64 array, a ``memoryview``), kept without a
+        copy as read-only views."""
         matrix = object.__new__(cls)
         matrix._assign(window, tuple(labels), codes, counts)
         return matrix
 
     def _build(self, window, names, origins, dests, counts) -> None:
-        origins = np.asarray(origins, dtype=np.int64)
-        dests = np.asarray(dests, dtype=np.int64)
-        present = np.zeros(len(names), dtype=bool)
-        present[origins] = present[dests] = True
-        used = sorted(np.flatnonzero(present).tolist(), key=names.__getitem__)
-        rank = np.zeros(len(names), dtype=np.int64)
-        rank[used] = np.arange(len(used))
-        codes = rank[origins] * len(used) + rank[dests]
-        order = np.argsort(codes)
-        counts = np.asarray(counts, dtype=np.int64)[order]
-        self._assign(window, tuple(names[i] for i in used), codes[order], counts)
+        used = sorted({*origins, *dests}, key=names.__getitem__)
+        rank = [0] * len(names)
+        for r, i in enumerate(used):
+            rank[i] = r
+        n = len(used)
+        codes = [rank[o] * n + rank[d] for o, d in zip(origins, dests)]
+        if not all(map(operator.lt, codes, islice(codes, 1, None))):  # rows not in label order
+            order = sorted(range(len(codes)), key=codes.__getitem__)
+            codes, counts = [codes[i] for i in order], [counts[i] for i in order]
+        self._assign(window, tuple(names[i] for i in used), array("q", codes), array("q", counts))
 
     def _assign(self, window, labels, codes, counts) -> None:
-        self.window, self.labels, self.codes, self.counts = window, labels, codes, counts
-        codes.flags.writeable = counts.flags.writeable = False
+        self.window, self.labels = window, labels
+        self.codes, self.counts = (_int64_view(a) for a in (codes, counts))
 
     def cells(self) -> Iterator[tuple[tuple[AreaId, AreaId], int]]:
         """``((origin, destination), count)`` per nonzero cell, pairs in sorted order."""
-        labels = self.labels
-        origins, dests = np.divmod(self.codes, max(1, len(labels)))
-        for o, d, count in zip(origins.tolist(), dests.tolist(), self.counts.tolist()):
-            yield (labels[o], labels[d]), count
+        labels, n = self.labels, max(1, len(self.labels))
+        for code, count in zip(self.codes, self.counts):
+            origin, destination = divmod(code, n)
+            yield (labels[origin], labels[destination]), count
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -172,9 +176,17 @@ class SparseOdm:
         return (
             self.window == other.window
             and self.labels == other.labels
-            and np.array_equal(self.codes, other.codes)
-            and np.array_equal(self.counts, other.counts)
+            and self.codes == other.codes
+            and self.counts == other.counts
         )
 
     def __repr__(self) -> str:
         return f"SparseOdm({self.window.date} {self.window.times_key()}, {len(self)} cells)"
+
+
+def _int64_view(buffer) -> memoryview:
+    """A read-only ``q`` view of a buffer of native int64 values."""
+    view = memoryview(buffer)
+    if view.format not in ("q", "l") or view.itemsize != 8:
+        raise TypeError(f"expected int64 values, got a buffer of format {view.format!r}")
+    return view.toreadonly().cast("B").cast("q")

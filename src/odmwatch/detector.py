@@ -54,8 +54,9 @@ _STATUS_NAMES = ("no_signal", "signal", "below_eligibility", "missing_data")
 _DIRECTION_NAMES = (None, "upper", "lower")
 
 # Rows per string the writers build, so that a report is never held whole
-# in memory.
-_CHUNK_ROWS = 4096
+# in memory and one chunk's columns, rows and string add little to a
+# detect's peak memory.
+_CHUNK_ROWS = 1024
 
 
 class ReportRows:

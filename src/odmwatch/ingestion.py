@@ -13,11 +13,10 @@ import gzip
 import io
 import json
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from pathlib import Path
 from types import SimpleNamespace
 from typing import IO, Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .core import MAX_COUNT, SparseOdm, TimeWindow
 
@@ -219,9 +218,9 @@ def window_csv(snapshot: SparseOdm) -> str:
     (origin, destination) order, as ``csv.writer`` writes them."""
     w = snapshot.window
     head = f"{w.date.isoformat()},{w.start.isoformat()},{w.end.isoformat()}"
-    names = np.array([csv_field(label) for label in snapshot.labels], dtype=object)
-    origins, dests = np.divmod(snapshot.codes, max(1, len(names)))
-    rows = zip(names[origins].tolist(), names[dests].tolist(), snapshot.counts.tolist())
+    names = [csv_field(label) for label in snapshot.labels]
+    pairs = map(divmod, snapshot.codes, repeat(max(1, len(names))))
+    rows = ((names[o], names[d], count) for (o, d), count in zip(pairs, snapshot.counts))
     return "".join(map(f"{head},%s,%s,%d\n".__mod__, rows))
 
 
@@ -283,5 +282,5 @@ def validate_day(
         missing_windows=missing,
         extra_windows=extra,
         # Python ints: an int64 sum of the counts could wrap.
-        total_volume=sum(sum(m.counts.tolist()) for m in snapshots),
+        total_volume=sum(sum(m.counts) for m in snapshots),
     )

@@ -34,12 +34,12 @@ import operator
 import os
 import re
 import secrets
+import sys
+from array import array
 from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
 from typing import IO, Callable, Iterator, Sequence
-
-import numpy as np
 
 from .core import STRIDE_DAYS, SparseOdm, TimeWindow
 from .ingestion import SourceProfile, write_snapshots_csv
@@ -48,7 +48,7 @@ logger = logging.getLogger(__name__)
 
 FORMAT = 1
 _DATE_FILE = re.compile(r"^(\d{4}-\d{2}-\d{2})\.odm$")
-_INT64 = np.dtype("<i8")
+_INT64_SIZE = 8
 
 
 def history_dates(date: dt.date, p: int, stride: str) -> list[dt.date]:
@@ -278,9 +278,7 @@ def _encode_day(date: dt.date, day: Sequence[SparseOdm]) -> bytes:
     """The bytes of a date file holding ``day``, in (start, end) order."""
     csv_sha256 = hashlib.sha256()
     write_snapshots_csv(day, SimpleNamespace(write=lambda text: csv_sha256.update(text.encode())))
-    payload = b"".join(
-        a.astype(_INT64, copy=False).tobytes() for m in day for a in (m.codes, m.counts)
-    )
+    payload = _little_endian(b"".join(a for m in day for a in (m.codes, m.counts)))
     header = json.dumps(
         {
             "format": FORMAT,
@@ -299,7 +297,7 @@ def _encode_day(date: dt.date, day: Sequence[SparseOdm]) -> bytes:
         },
         separators=(",", ":"),
     )
-    header += " " * (-(len(header) + 1) % _INT64.itemsize)
+    header += " " * (-(len(header) + 1) % _INT64_SIZE)
     return header.encode("ascii") + b"\n" + payload
 
 
@@ -333,13 +331,13 @@ def _decode_day(
             entries.append((window, labels, cells))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad header shape: {type(exc).__name__} {exc}") from None
-    size = 2 * _INT64.itemsize * sum(cells for _, _, cells in entries)
+    size = 2 * _INT64_SIZE * sum(cells for _, _, cells in entries)
     payload = memoryview(data)[newline + 1 :]
     if len(payload) != size:
         raise ValueError(f"array section has {len(payload)} bytes, the header's cells need {size}")
     if hashlib.sha256(payload).hexdigest() != digests[0]:
         raise ValueError("array section does not match its sha256")
-    arrays = np.frombuffer(data, dtype=_INT64, offset=newline + 1)
+    arrays = memoryview(_little_endian(payload)).cast("q")
     snapshots = []
     start = 0
     for window, labels, cells in entries:
@@ -353,6 +351,8 @@ def _decode_day(
 
 def _checked_snapshot(window: TimeWindow, labels: list, codes, counts) -> SparseOdm:
     """One window's snapshot, after checking its labels and columns."""
+    import numpy as np
+
     n = len(labels)
     try:
         "".join(labels)  # a TypeError unless every label is a string
@@ -365,13 +365,14 @@ def _checked_snapshot(window: TimeWindow, labels: list, codes, counts) -> Sparse
         )
     used = np.zeros(n, dtype=bool)
     if len(codes):
-        if codes[0] < 0 or int(codes[-1]) >= n * n or (np.diff(codes) <= 0).any():
+        cells, values = np.frombuffer(codes, np.int64), np.frombuffer(counts, np.int64)
+        if cells[0] < 0 or int(cells[-1]) >= n * n or (np.diff(cells) <= 0).any():
             raise ValueError(
                 f"window {window.times_key()}: codes not strictly increasing in [0, {n}**2)"
             )
-        if counts.min() <= 0:
+        if values.min() <= 0:
             raise ValueError(f"window {window.times_key()}: a count <= 0")
-        used[codes // n] = used[codes % n] = True
+        used[cells // n] = used[cells % n] = True
     if not used.all():
         raise ValueError(f"window {window.times_key()}: a label no cell uses")
     return SparseOdm.from_columns(window, labels, codes, counts)
@@ -401,6 +402,17 @@ def atomic_open(path: Path, mode: str = "w", **kwargs) -> Iterator[IO]:
         os.fsync(dir_fd)
     finally:
         os.close(dir_fd)
+
+
+def _little_endian(int64s):
+    """Native int64 bytes as the file's little-endian ones, or back: ``int64s``
+    itself on a little-endian machine, else a byte-swapped copy."""
+    if sys.byteorder == "little":
+        return int64s
+    swapped = array("q")
+    swapped.frombytes(int64s)
+    swapped.byteswap()
+    return swapped.tobytes()
 
 
 def _time(text: str) -> dt.time:

@@ -224,7 +224,13 @@ def generate(
                 ).astype(np.int64)
             keep = counts > 0
             snapshots.append(
-                SparseOdm.from_ids(window, labels, origins[keep], dests[keep], counts[keep])
+                SparseOdm.from_ids(
+                    window,
+                    labels,
+                    origins[keep].tolist(),
+                    dests[keep].tolist(),
+                    counts[keep].tolist(),
+                )
             )
 
     for anomaly in spec.anomalies:

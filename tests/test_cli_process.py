@@ -18,7 +18,9 @@ SRC = str(Path(odmwatch.__file__).resolve().parents[1])
 # survives ``os._exit`` only if ``run`` flushes it.
 ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}, "PYTHONPATH": SRC}
 # What only detect, generate or bench runs; ingest must load none of it.
-NOT_FOR_INGEST = ("odmwatch.detector", "odmwatch._engine", "odmwatch.synth", "odmwatch.bench", "fractions")
+NOT_FOR_INGEST = (
+    "odmwatch.detector", "odmwatch._engine", "odmwatch.synth", "odmwatch.bench", "fractions", "numpy"
+)
 
 
 def python(*args, cwd):

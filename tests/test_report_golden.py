@@ -68,6 +68,15 @@ def test_csv_report_bytes(store_root, tmp_path, config):
     assert meta.read_bytes() == (GOLDEN / f"report_{config}.csv.meta.json").read_bytes()
 
 
+def test_store_file_bytes(store_root):
+    """The fixture's date files, the two-window put over a stored date included."""
+    golden = GOLDEN / "store" / "src"
+    names = sorted(path.name for path in (store_root / "src").iterdir())
+    assert names == sorted(path.name for path in golden.iterdir())
+    for name in names:
+        assert (store_root / "src" / name).read_bytes() == (golden / name).read_bytes(), name
+
+
 def test_golden_reports_hold_the_edge_rows():
     th0 = (GOLDEN / "report_th0.jsonl").read_text(encoding="utf-8")
     assert '"origin":"C","destination":"B","status":"signal","direction":"upper",' \

@@ -45,6 +45,41 @@ def test_put_get_round_trip(store):
     assert store.get_snapshot("src", m.window) == m
 
 
+def test_the_three_forms_of_one_window_agree(store, tmp_path):
+    """A window parsed (array-backed), read back (bytes-backed) and wrapped
+    from numpy columns is one value in one read-only ``q`` form."""
+    path = tmp_path / "day.csv"
+    path.write_bytes(
+        HEADER + b"2021-06-07,00:00:00,23:59:59,C,A,7\n"
+        b"2021-06-07,00:00:00,23:59:59,A,C,900000000000\n"
+        b"2021-06-07,00:00:00,23:59:59,B,B,3\n"
+        b"2021-06-07,00:00:00,23:59:59,A,B,0\n"
+    )
+    [parsed] = ingestion.parse_file(path)
+    store.put_snapshot("src", parsed)
+    stored = store.get_snapshot("src", parsed.window)
+    wrapped = SparseOdm.from_columns(
+        parsed.window,
+        parsed.labels,
+        np.array(parsed.codes.tolist(), dtype=np.int64),
+        np.array(parsed.counts.tolist(), dtype=np.int64),
+    )
+    assert parsed == stored == wrapped
+    cells = {("A", "C"): 900_000_000_000, ("B", "B"): 3, ("C", "A"): 7}
+    for m in (parsed, stored, wrapped):
+        assert dict(m.cells()) == cells and list(m.cells()) == sorted(cells.items())
+        assert len(m) == 3
+        assert m.codes.format == m.counts.format == "q"
+        for column in (m.codes, m.counts):
+            array = np.frombuffer(column, np.int64)
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
+    assert np.frombuffer(stored.codes, np.int64).tolist() == [2, 4, 6]
+    with pytest.raises(TypeError, match="int64"):
+        SparseOdm.from_columns(parsed.window, parsed.labels, np.int32([2, 4, 6]), parsed.counts)
+
+
 def test_overwrite_keeps_second_value(store):
     w = TimeWindow.full_day(MONDAY)
     store.put_snapshot("src", SparseOdm(w, {("A", "B"): 1}))
@@ -590,10 +625,10 @@ def assert_columnar(m, cells):
     """``m`` holds exactly the nonzero ``cells``, in the columnar form."""
     nonzero = {pair: count for pair, count in cells.items() if count > 0}
     assert m.labels == tuple(sorted({label for pair in nonzero for label in pair}))
-    assert m.codes.dtype == np.int64 and m.counts.dtype == np.int64
-    assert not m.codes.flags.writeable and not m.counts.flags.writeable
-    assert (np.diff(m.codes) > 0).all()
-    assert (m.counts > 0).all()
+    assert m.codes.format == "q" and m.counts.format == "q"
+    assert m.codes.readonly and m.counts.readonly
+    assert all(a < b for a, b in zip(m.codes, m.codes[1:]))
+    assert all(count > 0 for count in m.counts)
     assert dict(m.cells()) == nonzero
 
 
