@@ -28,7 +28,7 @@ from . import _engine
 # BOUNDS_MODES, STRIDE_DAYS and DetectorConfig live in core; their names stay here too.
 from .core import BOUNDS_MODES, STRIDE_DAYS, DetectorConfig, SparseOdm, TimeWindow  # noqa: F401
 from .ingestion import csv_field, window_gaps
-from .store import HistoryStore, StoreError, atomic_open, history_dates
+from .store import HistoryStore, atomic_open, history_dates
 
 REPORT_COLUMNS = (
     "source",
@@ -255,35 +255,48 @@ def run_window(
     )
 
 
-def _day_input_digest(store: HistoryStore, source_id: str, dates: list[dt.date]) -> str:
+def _day_input_digest(digests: dict[dt.date, str | None]) -> str:
+    """SHA-256 over each date's ``csv_sha256`` (``absent`` for an absent
+    date), in date order."""
     digest = hashlib.sha256()
-    for date in sorted(set(dates)):
-        day = store.day_digest(source_id, date)
-        digest.update(f"{date.isoformat()}:{day or 'absent'}\n".encode("utf-8"))
+    for date in sorted(digests):
+        digest.update(f"{date.isoformat()}:{digests[date] or 'absent'}\n".encode("utf-8"))
     return digest.hexdigest()
 
 
 def detect_day(
     store: HistoryStore, source_id: str, date: dt.date, config: DetectorConfig
 ) -> DayReport:
-    """Run every stored window of a date through the detector, in start order."""
+    """Run every stored window of a date through the detector, in start order.
+
+    Each of the p+1 date files is read once, with ``HistoryStore.read_day``:
+    first the date itself, decoding every window, then its ``history_dates``,
+    newest first, decoding only the windows whose times the date holds. A
+    window's history and the report's ``input_digest`` come from those reads,
+    so detect sees each date as of its one read, even when an ``ingest``
+    rewrites or prunes it meanwhile.
+    """
     past_dates = history_dates(date, config.p, config.stride)
-    windows = store.windows_for(source_id, date)
+    digest, windows, currents = store.read_day(source_id, date, lambda window: True)
     profile = store.get_profile(source_id)
     missing: list[str] = []
     extra: list[str] = []
     if profile is not None:
         missing, extra = window_gaps(date, profile.expected_windows_per_day, windows)
 
+    digests = {date: digest}
+    times = {(window.start, window.end) for window in windows}
+    past = []
+    for past_date in past_dates:
+        digests[past_date], _, found = store.read_day(
+            source_id, past_date, lambda window: (window.start, window.end) in times
+        )
+        past.append({(m.window.start, m.window.end): m for m in found})
+
     reports = []
-    for window in windows:
-        current = store.get_snapshot(source_id, window)
-        if current is None:
-            raise StoreError(
-                f"{source_id}/{date}: window {window.times_key()} was removed from the store "
-                "while detect read the date"
-            )
-        history = store.fetch_history(source_id, window, config.p, config.stride)
+    for current in currents:
+        key = (current.window.start, current.window.end)
+        history = [day.get(key) for day in past]
         reports.append(run_window(current, history, config, source_id=source_id))
 
     return DayReport(
@@ -293,7 +306,7 @@ def detect_day(
         window_reports=reports,
         missing_windows=missing,
         extra_windows=extra,
-        input_digest=_day_input_digest(store, source_id, [date] + past_dates),
+        input_digest=_day_input_digest(digests),
     )
 
 

@@ -12,6 +12,7 @@ import datetime as dt
 import gzip
 import io
 import json
+import re
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -83,11 +84,17 @@ def _parse_date(text: str) -> dt.date:
         raise ValueError(f"bad date {text!r}, expected YYYY-MM-DD") from None
 
 
+# What ``strptime`` accepts for "%H:%M:%S" (``\d`` is any Unicode decimal
+# digit), without importing ``_strptime``, ``calendar`` and ``locale``; its
+# seconds 60 and 61 are refused by ``datetime``, so they are not matched here.
+_TIME = re.compile(r"(2[0-3]|[0-1]\d|\d):([0-5]\d|\d):([0-5]\d|\d)")
+
+
 def _parse_time(text: str) -> dt.time:
-    try:
-        return dt.datetime.strptime(text, "%H:%M:%S").time()
-    except ValueError:
-        raise ValueError(f"bad time {text!r}, expected HH:MM:SS") from None
+    match = _TIME.fullmatch(text)
+    if match is None:
+        raise ValueError(f"bad time {text!r}, expected HH:MM:SS")
+    return dt.time(*map(int, match.groups()))
 
 
 def _parse_count(text: str) -> int:

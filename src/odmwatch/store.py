@@ -184,7 +184,7 @@ class HistoryStore:
                 )
         path = self._date_path(source_id, date)
         dates = self.dates_for(source_id)
-        by_window = {m.window: m for m in self._read_day(source_id, date, lambda window: True)[2]}
+        by_window = {m.window: m for m in self.read_day(source_id, date, lambda window: True)[2]}
         by_window.update((m.window, m) for m in (snapshot, *more))
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -199,13 +199,13 @@ class HistoryStore:
 
         Raises ``StoreError`` naming the date file when a read check fails.
         """
-        found = self._read_day(source_id, window.date, window.__eq__)[2]
+        found = self.read_day(source_id, window.date, window.__eq__)[2]
         return found[0] if found else None
 
     def windows_for(self, source_id: str, date: dt.date) -> list[TimeWindow]:
         """Windows stored for one date, all-zero ones included, ordered by
         start time."""
-        return self._read_day(source_id, date)[1]
+        return self.read_day(source_id, date)[1]
 
     def fetch_history(
         self, source_id: str, window: TimeWindow, p: int, stride: str
@@ -226,11 +226,9 @@ class HistoryStore:
         checks pass: the hash of the date's windows written by
         ``write_snapshots_csv`` as one CSV, taken when the date was stored.
         """
-        return self._read_day(source_id, date)[0]
+        return self.read_day(source_id, date)[0]
 
-    # -- internals -----------------------------------------------------
-
-    def _read_day(
+    def read_day(
         self,
         source_id: str,
         date: dt.date,
@@ -238,7 +236,7 @@ class HistoryStore:
     ) -> tuple[str | None, list[TimeWindow], list[SparseOdm]]:
         """``(csv_sha256, windows, snapshots)`` of a stored date, or
         ``(None, [], [])``: every stored window, and the snapshots of those
-        ``decode`` accepts.
+        ``decode`` accepts, from one read of the date file.
 
         Every read checks the header, the array lengths and the payload hash;
         a decoded window's labels and columns are checked too. Raises
@@ -259,6 +257,8 @@ class HistoryStore:
             raise StoreError(
                 f"cannot read {path}: {exc}; remove it and re-ingest the date"
             ) from None
+
+    # -- internals -----------------------------------------------------
 
     def _prune(self, source_id: str, dates: set[dt.date]) -> None:
         """Unlink the files of ``dates`` more than ``retention_days`` before
@@ -339,18 +339,22 @@ def _decode_day(
         raise ValueError("array section does not match its sha256")
     arrays = memoryview(_little_endian(payload)).cast("q")
     snapshots = []
+    shared: dict[str, str] = {}  # equal labels share one str: detect holds p+1 dates at once
     start = 0
     for window, labels, cells in entries:
         if decode(window):
             codes = arrays[start : start + cells]
             counts = arrays[start + cells : start + 2 * cells]
-            snapshots.append(_checked_snapshot(window, labels, codes, counts))
+            snapshots.append(_checked_snapshot(window, labels, codes, counts, shared))
         start += 2 * cells
     return digests[1], [window for window, _, _ in entries], snapshots
 
 
-def _checked_snapshot(window: TimeWindow, labels: list, codes, counts) -> SparseOdm:
-    """One window's snapshot, after checking its labels and columns."""
+def _checked_snapshot(
+    window: TimeWindow, labels: list, codes, counts, shared: dict[str, str]
+) -> SparseOdm:
+    """One window's snapshot, after checking its labels and columns. Each
+    label is the one ``shared`` holds for its value, added when new."""
     import numpy as np
 
     n = len(labels)
@@ -375,6 +379,7 @@ def _checked_snapshot(window: TimeWindow, labels: list, codes, counts) -> Sparse
         used[cells // n] = used[cells % n] = True
     if not used.all():
         raise ValueError(f"window {window.times_key()}: a label no cell uses")
+    labels = [shared.setdefault(label, label) for label in labels]
     return SparseOdm.from_columns(window, labels, codes, counts)
 
 

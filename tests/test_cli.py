@@ -285,26 +285,38 @@ def test_non_finite_report_value_fails_detect(synthetic_store, tmp_path, capsys,
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
 
-def test_detect_date_pruned_during_read_exits_one(synthetic_store, tmp_path, capsys, monkeypatch):
-    # A concurrent ingest of a date 36 or more days later prunes the date
-    # between listing its windows and reading them.
-    windows_for = HistoryStore.windows_for
+def test_detect_sees_each_date_as_of_its_one_read(synthetic_store, tmp_path, monkeypatch):
+    # A concurrent ingest prunes or rewrites a date right after detect read
+    # it: the report stays byte-identical to an undisturbed run's.
+    argv = ["detect", "--source", "mno", "--date", str(MONDAY)]
+    argv += ["--store-root", str(synthetic_store)]
+    undisturbed = tmp_path / "undisturbed.jsonl"
+    assert main(argv + ["--output", str(undisturbed)]) == 0
+    week = dt.timedelta(days=7)
+    rewrite = day_csv(tmp_path, MONDAY - 2 * week, per_day=1, value=999)
+    ingest = ["ingest", str(rewrite), "--source", "mno", "--store-root", str(synthetic_store)]
+    exits = []
+    disturb = {
+        MONDAY: (synthetic_store / "mno" / f"{MONDAY}.odm").unlink,
+        MONDAY - week: (synthetic_store / "mno" / f"{MONDAY - week}.odm").unlink,
+        MONDAY - 2 * week: lambda: exits.append(main(ingest)),
+    }
+    read_day = HistoryStore.read_day
 
-    def windows_for_then_prune(self, source_id, date):
-        windows = windows_for(self, source_id, date)
-        (synthetic_store / source_id / f"{date}.odm").unlink()
-        return windows
+    def read_day_then_disturb(self, source_id, date, *args):
+        day = read_day(self, source_id, date, *args)
+        disturb.pop(date, lambda: None)()
+        return day
 
-    monkeypatch.setattr(HistoryStore, "windows_for", windows_for_then_prune)
-    out = tmp_path / "report.jsonl"
-    argv = ["detect", "--source", "mno", "--date", str(MONDAY), "--output", str(out)]
-    assert main(argv + ["--store-root", str(synthetic_store)]) == 1
-    err = capsys.readouterr().err
-    assert err == (
-        f"error: mno/{MONDAY}: window 00:00:00-23:59:59 was removed from the store "
-        "while detect read the date\n"
-    )
-    assert not out.exists()
+    monkeypatch.setattr(HistoryStore, "read_day", read_day_then_disturb)
+    disturbed = tmp_path / "disturbed.jsonl"
+    assert main(argv + ["--output", str(disturbed)]) == 0
+    assert not disturb and exits == [0]
+    assert disturbed.read_bytes() == undisturbed.read_bytes()
+    rewritten = TimeWindow.full_day(MONDAY - 2 * week)
+    stored = HistoryStore(synthetic_store).get_snapshot("mno", rewritten)
+    assert dict(stored.cells()) == {("A", "B"): 999}
+    assert main(argv + ["--output", str(tmp_path / "after.jsonl")]) == 3
 
 
 def test_detect_unwritable_output_exits_one(synthetic_store, tmp_path, capsys):

@@ -19,7 +19,13 @@ SRC = str(Path(odmwatch.__file__).resolve().parents[1])
 ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}, "PYTHONPATH": SRC}
 # What only detect, generate or bench runs; ingest must load none of it.
 NOT_FOR_INGEST = (
-    "odmwatch.detector", "odmwatch._engine", "odmwatch.synth", "odmwatch.bench", "fractions", "numpy"
+    "odmwatch.detector",
+    "odmwatch._engine",
+    "odmwatch.synth",
+    "odmwatch.bench",
+    "fractions",
+    "numpy",
+    "_strptime",
 )
 
 

@@ -2,6 +2,7 @@ import datetime as dt
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from odmwatch import (
     run_window,
 )
 from odmwatch.detector import write_day_report_csv, write_day_report_jsonl, REPORT_COLUMNS
-from odmwatch.store import HistoryStore
+from odmwatch.ingestion import canonical_windows
+from odmwatch.store import HistoryStore, history_dates
 
 W = TimeWindow.full_day(BASE_DATE)
 
@@ -355,6 +357,43 @@ def test_engine_limit_names_the_period_that_holds_the_value(tmp_path, history, p
     assert str(excinfo.value).startswith(
         f"source 'src', window 00:00:00-23:59:59, period {day}: cell value 5000000000 exceeds"
     )
+
+
+def test_detect_reads_each_date_file_once(tmp_path, monkeypatch):
+    # An 8-window day against p = 4 weekly periods, one of them absent: one
+    # read per date file, a failed one for the absent date, and each window
+    # scored as against its own snapshots read one by one.
+    store = HistoryStore(tmp_path / "store", retention_days=None)
+    for k in (0, 1, 2, 4):
+        date = BASE_DATE - dt.timedelta(days=7 * k)
+        store.put_snapshot(
+            "src",
+            *(
+                SparseOdm(w, {("A", "B"): 40 + 3 * i + k, ("B", "C"): 30 + i * k, ("C", "A"): 25})
+                for i, w in enumerate(canonical_windows(date, 8))
+            ),
+        )
+    reads = []
+    read_bytes = Path.read_bytes
+
+    def counted(path):
+        reads.append(path.name)
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", counted)
+    config = DetectorConfig(th=1, p=4)
+    report = detect_day(store, "src", BASE_DATE, config)
+    dates = [BASE_DATE] + history_dates(BASE_DATE, 4, "weekly")
+    odm_reads = sorted(name for name in reads if name.endswith(".odm"))
+    assert odm_reads == sorted(f"{date}.odm" for date in dates)
+    monkeypatch.undo()
+    windows = canonical_windows(BASE_DATE, 8)
+    assert [w.window for w in report.window_reports] == windows
+    for got, window in zip(report.window_reports, windows):
+        history = store.fetch_history("src", window, 4, "weekly")
+        expected = run_window(store.get_snapshot("src", window), history, config, source_id="src")
+        assert got.available == expected.available == 3
+        assert (got.t, list(got.outcomes)) == (expected.t, list(expected.outcomes))
 
 
 def test_paper_literal_emits_no_lower(loaded_store):

@@ -3,6 +3,8 @@ import gzip
 import io
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from odmwatch import (
     OdmIntegrityError,
@@ -13,6 +15,7 @@ from odmwatch import (
     parse_file,
     validate_day,
 )
+from odmwatch import ingestion
 from odmwatch.ingestion import canonical_windows, write_snapshots_csv
 
 HEADER = "date,start,end,origin,destination,count\n"
@@ -298,9 +301,34 @@ def test_later_row_of_seen_times_names_its_line(tmp_path, row, message):
     assert message in str(err.value)
 
 
-def test_each_time_string_parsed_once(tmp_path, monkeypatch):
-    from odmwatch import ingestion
+# ASCII and other Unicode decimal digits, then what may surround them.
+DIGITS = "0123456789\u0661\u0665\u0967\u096f\uff10\uff19"
+TIME_CHARS = st.sampled_from([*DIGITS, ":", " ", "\t", "\n", "+", "-", "a", "T", "Z"])
+DIGIT_RUN = st.text(st.sampled_from(DIGITS), min_size=1, max_size=3)
+TIME_PART = DIGIT_RUN | st.text(TIME_CHARS, max_size=3)
 
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(TIME_CHARS, max_size=10) | st.tuples(TIME_PART, TIME_PART, TIME_PART).map(":".join))
+@example("1:2:3")
+@example("\u0661:00:00")
+@example("23:59:59")
+@example("23:59:60")
+@example("24:00:00")
+@example(" 1:00:00")
+@example("01:00:00\n")
+def test_parse_time_accepts_what_strptime_accepts(text):
+    try:
+        expected = dt.datetime.strptime(text, "%H:%M:%S").time()
+    except ValueError:
+        with pytest.raises(ValueError) as err:
+            ingestion._parse_time(text)
+        assert str(err.value) == f"bad time {text!r}, expected HH:MM:SS"
+    else:
+        assert ingestion._parse_time(text) == expected
+
+
+def test_each_time_string_parsed_once(tmp_path, monkeypatch):
     calls = []
     parse_time = ingestion._parse_time
 

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import odmwatch
-from odmwatch import HistoryStore, SparseOdm, TimeWindow
+from odmwatch import DetectorConfig, HistoryStore, SparseOdm, TimeWindow, detect_day
 from odmwatch import ingestion
 from odmwatch import store as store_module
 from odmwatch.cli import main
@@ -465,12 +465,16 @@ def test_corrupt_window_file_raises_store_error(store, corrupt, reason, every_re
     # a window's snapshot also check its labels and columns.
     m = snap(MONDAY, {("A", "B"): 1, ("B", "A"): 7})
     store.put_snapshot("src", m)
+    store.put_snapshot("src", snap(TUESDAY, {("A", "B"): 2}))
     path = store.root / "src" / f"{MONDAY}.odm"
     path.write_bytes(corrupt(path.read_bytes()))
+    daily = DetectorConfig(p=1, stride="daily")
     reads = [
         lambda: store.get_snapshot("src", m.window),
         lambda: store.fetch_history("src", TimeWindow.full_day(TUESDAY), 1, "daily"),
         lambda: store.put_snapshot("src", snap(MONDAY, {}, dt.time(1, 0, 0), dt.time(2, 0, 0))),
+        lambda: detect_day(store, "src", MONDAY, daily),  # the target date
+        lambda: detect_day(store, "src", TUESDAY, daily),  # a history date, window times held
     ]
     if every_read:
         reads += [
