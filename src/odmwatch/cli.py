@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
-import logging
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -29,8 +28,6 @@ from .store import HistoryStore, StoreError, atomic_open, retention_for
 
 # Each command imports the modules only it runs (detector, synth, bench)
 # inside its own function, so that no command pays for another's imports.
-
-logger = logging.getLogger("odmwatch")
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -131,7 +128,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     try:
         store.put_profile(profile)
         for date in dates:  # one commit per date
-            store.put_snapshot(args.source, *days[date])
+            pruned = store.put_snapshot(args.source, *days[date])
+            if args.verbose:
+                for old in pruned:
+                    print(
+                        f"pruned {args.source}/{old}: older than {store.retention_days} days",
+                        file=sys.stderr,
+                    )
     except (StoreError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -143,7 +146,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         if not report.clean:
             status = EXIT_VALIDATION
     if not dates:
-        logger.warning("no rows ingested from %s", ", ".join(map(str, args.files)))
+        print(f"warning: no rows ingested from {', '.join(map(str, args.files))}", file=sys.stderr)
     return status
 
 
@@ -248,7 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="odmwatch",
         description="Anomaly detection for origin-destination mobility matrices",
     )
-    parser.add_argument("-v", "--verbose", action="store_true", help="verbose logging")
+    parser.add_argument(
+        "-v", "--verbose", action="store_true", help="name each date ingest prunes, on stderr"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_ingest = sub.add_parser("ingest", help="parse, validate and store ODM files")
@@ -292,10 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     try:
         return args.func(args)
     except ValueError as exc:
@@ -310,7 +311,10 @@ def run() -> NoReturn:
     by that: every file a command writes is closed before ``main`` returns,
     and the store's files and the reports are fsynced as well. An
     exception, or argparse's ``SystemExit``, leaves through the normal exit
-    path."""
+    path. Before anything imports numpy, its OpenBLAS is held to one thread
+    unless ``OPENBLAS_NUM_THREADS`` is already set."""
+    # No command makes a BLAS call; a worker thread only adds start-up time.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     status = main()
     sys.stdout.flush()
     sys.stderr.flush()

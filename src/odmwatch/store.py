@@ -29,7 +29,6 @@ from __future__ import annotations
 import datetime as dt
 import hashlib
 import json
-import logging
 import operator
 import os
 import re
@@ -43,8 +42,6 @@ from typing import IO, Callable, Iterator, Sequence
 
 from .core import STRIDE_DAYS, SparseOdm, TimeWindow
 from .ingestion import SourceProfile, write_snapshots_csv
-
-logger = logging.getLogger(__name__)
 
 FORMAT = 1
 _DATE_FILE = re.compile(r"^(\d{4}-\d{2}-\d{2})\.odm$")
@@ -159,11 +156,14 @@ class HistoryStore:
 
     # -- snapshots -----------------------------------------------------
 
-    def put_snapshot(self, source_id: str, snapshot: SparseOdm, *more: SparseOdm) -> None:
+    def put_snapshot(
+        self, source_id: str, snapshot: SparseOdm, *more: SparseOdm
+    ) -> list[dt.date]:
         """Persist the given windows of one date, merged over that date's
         stored windows: a given window replaces the stored one with the same
         times, and among the given ones the later wins. The date's file is
-        rewritten and committed by one rename.
+        rewritten and committed by one rename. Returns the dates then pruned
+        (see ``retention_days``), oldest first.
 
         Raises ``ValueError``, writing nothing, for windows of different
         dates or window times with fractional seconds or a time zone; and
@@ -192,7 +192,7 @@ class HistoryStore:
                 handle.write(_encode_day(date, [by_window[w] for w in sorted(by_window)]))
         except OSError as exc:
             raise StoreError(f"cannot store {source_id}/{date}: {exc}") from exc
-        self._prune(source_id, {*dates, date})
+        return self._prune(source_id, {*dates, date})
 
     def get_snapshot(self, source_id: str, window: TimeWindow) -> SparseOdm | None:
         """Retrieve one snapshot, or ``None`` when it was never stored.
@@ -260,18 +260,16 @@ class HistoryStore:
 
     # -- internals -----------------------------------------------------
 
-    def _prune(self, source_id: str, dates: set[dt.date]) -> None:
+    def _prune(self, source_id: str, dates: set[dt.date]) -> list[dt.date]:
         """Unlink the files of ``dates`` more than ``retention_days`` before
-        the newest of them."""
+        the newest of them; those dates, oldest first."""
         if self.retention_days is None:
-            return
+            return []
         cutoff = max(dates) - dt.timedelta(days=self.retention_days)
-        for date in sorted(dates):
-            if date < cutoff:
-                logger.info(
-                    "pruning %s/%s (older than %d days)", source_id, date, self.retention_days
-                )
-                self._date_path(source_id, date).unlink(missing_ok=True)
+        pruned = sorted(date for date in dates if date < cutoff)
+        for date in pruned:
+            self._date_path(source_id, date).unlink(missing_ok=True)
+        return pruned
 
 
 def _encode_day(date: dt.date, day: Sequence[SparseOdm]) -> bytes:
@@ -338,11 +336,14 @@ def _decode_day(
     if hashlib.sha256(payload).hexdigest() != digests[0]:
         raise ValueError("array section does not match its sha256")
     arrays = memoryview(_little_endian(payload)).cast("q")
+    wanted = [decode(window) for window, _, _ in entries]
+    # Equal labels of the decoded windows share one str, as detect holds p+1
+    # dates at once; one window has no equal labels to share.
+    shared: dict[str, str] | None = {} if sum(wanted) > 1 else None
     snapshots = []
-    shared: dict[str, str] = {}  # equal labels share one str: detect holds p+1 dates at once
     start = 0
-    for window, labels, cells in entries:
-        if decode(window):
+    for (window, labels, cells), decoded in zip(entries, wanted):
+        if decoded:
             codes = arrays[start : start + cells]
             counts = arrays[start + cells : start + 2 * cells]
             snapshots.append(_checked_snapshot(window, labels, codes, counts, shared))
@@ -351,10 +352,11 @@ def _decode_day(
 
 
 def _checked_snapshot(
-    window: TimeWindow, labels: list, codes, counts, shared: dict[str, str]
+    window: TimeWindow, labels: list, codes, counts, shared: dict[str, str] | None
 ) -> SparseOdm:
-    """One window's snapshot, after checking its labels and columns. Each
-    label is the one ``shared`` holds for its value, added when new."""
+    """One window's snapshot, after checking its labels and columns. Unless
+    ``shared`` is ``None``, each label is the one it holds for its value,
+    added when new."""
     import numpy as np
 
     n = len(labels)
@@ -379,7 +381,8 @@ def _checked_snapshot(
         used[cells // n] = used[cells % n] = True
     if not used.all():
         raise ValueError(f"window {window.times_key()}: a label no cell uses")
-    labels = [shared.setdefault(label, label) for label in labels]
+    if shared is not None:
+        labels = [shared.setdefault(label, label) for label in labels]
     return SparseOdm.from_columns(window, labels, codes, counts)
 
 

@@ -144,6 +144,27 @@ def test_missing_config_exits_one(tmp_path, capsys, argv):
     assert not store_root.exists()
 
 
+def test_ingest_of_no_rows_warns(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text(HEADER, encoding="utf-8")
+    code = main(["ingest", str(path), "--source", "mno", "--store-root", str(tmp_path / "store")])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"warning: no rows ingested from {path}\n"
+
+
+@pytest.mark.parametrize("verbose", [False, True])
+def test_verbose_ingest_names_each_pruned_date(tmp_path, capsys, verbose):
+    old = MONDAY - dt.timedelta(days=36)
+    argv = ["ingest", "--source", "mno", "--store-root", str(tmp_path / "store")]
+    assert main([*argv, str(day_csv(tmp_path, old, per_day=1))]) == 0
+    assert main(["-v"] * verbose + [*argv, str(day_csv(tmp_path, MONDAY, per_day=1))]) == 0
+    assert HistoryStore(tmp_path / "store").dates_for("mno") == [MONDAY]
+    expected = f"pruned mno/{old}: older than 35 days\n" if verbose else ""
+    assert capsys.readouterr().err == expected
+
+
 def test_ingest_missing_window_exits_two(tmp_path, capsys):
     windows = canonical_windows(MONDAY, 24)[:-1]
     rows = [

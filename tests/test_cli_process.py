@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import odmwatch
 
 MONDAY = dt.date(2021, 6, 7)
@@ -26,6 +28,7 @@ NOT_FOR_INGEST = (
     "fractions",
     "numpy",
     "_strptime",
+    "logging",
 )
 
 
@@ -113,7 +116,42 @@ def test_ingest_loads_only_what_it_runs(tmp_path):
     assert detect.returncode == 0, detect.stderr
     loaded = imported_modules(detect.stderr)
     assert {"odmwatch.detector", "odmwatch._engine"} <= loaded
-    assert loaded.isdisjoint({"odmwatch.synth", "odmwatch.bench", "fractions"})
+    assert loaded.isdisjoint({"odmwatch.synth", "odmwatch.bench", "fractions", "logging"})
+
+
+# Runs ``cli.run`` with ``os._exit`` patched to print, just before the real
+# exit, the process's OS threads and its OPENBLAS_NUM_THREADS.
+THREADS_AT_EXIT = """
+import os
+from odmwatch import cli
+
+def exit_(status, real=os._exit):
+    print(len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"), flush=True)
+    real(status)
+
+os._exit = exit_
+cli.run()
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize("setting", [None, "2"])
+def test_run_holds_openblas_to_one_thread_unless_set(tmp_path, setting):
+    days = week_of_days(tmp_path)
+    store = ["--source", "src", "--store-root", "store"]
+    assert odmwatch_cli("ingest", days, *store, cwd=tmp_path).returncode == 0
+    env = {k: v for k, v in ENV.items() if k != "OPENBLAS_NUM_THREADS"}
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    argv = ["-c", THREADS_AT_EXIT, "detect", *store, "--date", str(MONDAY)]
+    child = subprocess.run(
+        [sys.executable, *argv], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert child.returncode == 0, child.stderr
+    seen_threads, seen_setting = child.stdout.splitlines()[-1].split()
+    if setting is None:  # numpy was loaded, yet no BLAS worker started
+        assert seen_threads == "1"
+    assert seen_setting == (setting or "1")
 
 
 def test_bare_import_loads_no_submodule(tmp_path):

@@ -240,8 +240,10 @@ def test_corrupt_profile_raises_store_error(store, content, reason):
 
 def test_retention_prunes_old_days(tmp_path):
     store = HistoryStore(tmp_path / "store", retention_days=10)
-    store.put_snapshot("src", snap(MONDAY - dt.timedelta(days=30), {("A", "B"): 1}))
-    store.put_snapshot("src", snap(MONDAY, {("A", "B"): 2}))
+    assert store.put_snapshot("src", snap(MONDAY - dt.timedelta(days=30), {("A", "B"): 1})) == []
+    assert store.put_snapshot("src", snap(MONDAY, {("A", "B"): 2})) == [
+        MONDAY - dt.timedelta(days=30)
+    ]
     assert store.dates_for("src") == [MONDAY]
 
 
@@ -249,7 +251,7 @@ def test_retention_keeps_window(tmp_path):
     store = HistoryStore(tmp_path / "store", retention_days=35)
     old = MONDAY - dt.timedelta(days=28)
     store.put_snapshot("src", snap(old, {("A", "B"): 1}))
-    store.put_snapshot("src", snap(MONDAY, {("A", "B"): 2}))
+    assert store.put_snapshot("src", snap(MONDAY, {("A", "B"): 2})) == []
     assert store.dates_for("src") == [old, MONDAY]
 
 
