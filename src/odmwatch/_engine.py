@@ -10,13 +10,18 @@ the sorted runs with a stable argsort, and keeping the first code of each
 run of equal codes; the same permutation gives each period's positions in
 the union, so no period is searched for its codes.
 
-Each period becomes one int64 series vector in report order: the m cells
+Each period becomes one integer series vector in report order: the m cells
 of the union, then one inbound marginal per destination, then one outbound
 marginal per origin. The period's counts are scattered into the first m
 slots and both diagonal-excluded marginal sums are written into the rest.
 Exact integer sums of the vector and its squares are accumulated period by
 period, one vector at a time, and the cells, inbound and outbound results
 are slices of one evaluation of the whole vector.
+
+The vectors are int64 while every value is at most ``isqrt((2^63 - 1) / n)``,
+so that the sums of squares fit; past that cap the same code runs again on
+object vectors of exact Python ints. Sums are cast to float64 before any
+division, so both give the same results.
 
 Rules, per series (a cell, or an area's diagonal-excluded inbound or
 outbound marginal), over the n available past periods (a missing period is
@@ -72,14 +77,6 @@ def columnar_from_entries(matrix, ranks: np.ndarray, n_areas: int) -> Columnar:
     codes, counts = (np.frombuffer(a, np.int64) for a in (matrix.codes, matrix.counts))
     origins, dests = np.divmod(codes, max(1, len(ranks)))
     return Columnar(ranks[origins] * n_areas + ranks[dests], counts)
-
-
-class EngineLimitError(ValueError):
-    """A value too large for exact int64 sums, in ``period`` (0 = current)."""
-
-    def __init__(self, message: str, period: int) -> None:
-        super().__init__(message)
-        self.period = period
 
 
 @dataclass
@@ -169,24 +166,19 @@ def _value_cap(periods: int) -> int:
     return math.isqrt((2**63 - 1) // max(1, periods))
 
 
-def _check_cap(values: np.ndarray, cap: int, what: str, period: int) -> None:
+class _Wide(Exception):
+    """A value above the int64 cap: the window is evaluated on Python ints."""
+
+
+def _check_cap(values: np.ndarray, cap: float) -> None:
     if len(values) and int(values.max()) > cap:
-        raise EngineLimitError(
-            f"{what} value {int(values.max())} exceeds the vectorized engine "
-            f"limit of {cap}; counts this large are not supported",
-            period,
-        )
+        raise _Wide
 
 
 def _group_starts(sorted_ids: np.ndarray) -> np.ndarray:
     if len(sorted_ids) == 0:
         return np.empty(0, dtype=np.int64)
     return np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
-
-
-def distinct_sorted(sorted_values: np.ndarray) -> np.ndarray:
-    """The distinct values of an ascending array, in order."""
-    return sorted_values[_group_starts(sorted_values)]
 
 
 def evaluate_window(
@@ -201,16 +193,24 @@ def evaluate_window(
 
     ``history`` lists the p past periods (``None`` = missing period).
     """
+    try:
+        return _evaluate(current, history, n_areas, th, q, mode, np.int64)
+    except _Wide:
+        return _evaluate(current, history, n_areas, th, q, mode, object)
+
+
+def _evaluate(current, history, n_areas, th, q, mode, dtype: type) -> WindowEvaluation:
+    """``evaluate_window`` on series vectors of ``dtype``."""
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
 
     a = np.int64(n_areas)
     avail = [h for h in history if h is not None]
     n = len(avail)
-    cap = _value_cap(n)
+    cap = _value_cap(n) if dtype is np.int64 else math.inf
     periods = [current] + avail
-    for k, mat in enumerate(periods):
-        _check_cap(mat.values, cap, "cell", k)
+    for mat in periods:
+        _check_cap(mat.values, cap)
 
     # Each code array is sorted, so the stable sort only merges runs. Its
     # permutation also carries every period's positions in the union.
@@ -241,14 +241,13 @@ def evaluate_window(
 
     def series(k: int) -> np.ndarray:
         """Period k's series vector: cells, then inbound, then outbound."""
-        values = np.zeros(outbound.stop, dtype=np.int64)
+        values = np.zeros(outbound.stop, dtype=dtype)
         values[slots[k]] = periods[k].values
         masked = np.where(offdiag, values[:m], 0)
         np.add.reduceat(masked[dest_perm], in_starts, out=values[inbound])
         np.add.reduceat(masked, out_starts, out=values[outbound])
         if n:  # marginals are squared only when there is history
-            _check_cap(values[outbound], cap, "outbound marginal", k)
-            _check_cap(values[inbound], cap, "inbound marginal", k)
+            _check_cap(values[m:], cap)
         return values
 
     # Exact integer sums over the available periods, and which series held
@@ -262,10 +261,10 @@ def evaluate_window(
             total += values
             sumsq += values * values
             constant &= values == base
-    observed = series(0)  # last, so its marginals are checked after the history's
+    observed = series(0)
     if n:
-        ma = total / n
-        sd = np.sqrt(np.maximum(0.0, sumsq / n - ma * ma))
+        ma = total.astype(np.float64) / n
+        sd = np.sqrt(np.maximum(0.0, sumsq.astype(np.float64) / n - ma * ma))
         sd[constant] = 0.0
     timings["stats"] = time.perf_counter() - t0
 
@@ -299,7 +298,7 @@ def evaluate_window(
         direction[up_sig] = DIR_UPPER
         direction[lo_sig] = DIR_LOWER
         with np.errstate(divide="ignore", invalid="ignore"):
-            inc = (observed / ma - 1.0) * 100.0
+            inc = (observed.astype(np.float64) / ma - 1.0) * 100.0
         zero_ma = ma == 0.0
         if zero_ma.any():
             inc[zero_ma & (observed > 0)] = math.inf

@@ -25,8 +25,7 @@ from typing import IO, Callable, Iterator, Sequence
 import numpy as np
 
 from . import _engine
-# BOUNDS_MODES, STRIDE_DAYS and DetectorConfig live in core; their names stay here too.
-from .core import BOUNDS_MODES, STRIDE_DAYS, DetectorConfig, SparseOdm, TimeWindow  # noqa: F401
+from .core import DetectorConfig, SparseOdm, TimeWindow
 from .ingestion import csv_field, window_gaps
 from .store import HistoryStore, atomic_open, history_dates
 
@@ -232,15 +231,9 @@ def run_window(
         )
         for m in present
     ]
-    try:
-        evaluation = _engine.evaluate_window(
-            columns[0], columns[1:], n_areas, config.th, config.quantile, config.bounds_mode
-        )
-    except _engine.EngineLimitError as exc:
-        raise ValueError(
-            f"source {source_id!r}, window {current.window.times_key()}, "
-            f"period {present[exc.period].window.date}: {exc}"
-        ) from None
+    evaluation = _engine.evaluate_window(
+        columns[0], columns[1:], n_areas, config.th, config.quantile, config.bounds_mode
+    )
     window = current.window
     head = (source_id, window.date.isoformat(), window.start.isoformat(), window.end.isoformat())
     return WindowReport(

@@ -21,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._engine import distinct_sorted
 from .core import STRIDE_DAYS, DetectorConfig, SparseOdm, TimeWindow
 from .ingestion import canonical_windows, write_snapshots_csv
 
@@ -121,10 +120,10 @@ def sample_distinct_codes(rng: np.random.Generator, space: int, k: int) -> np.nd
     if space <= 4_000_000:
         return np.sort(rng.choice(space, size=k, replace=False).astype(np.int64))
     draw = int(k * 1.05) + 16
-    codes = distinct_sorted(np.sort(rng.integers(0, space, size=draw, dtype=np.int64)))
+    codes = np.unique(rng.integers(0, space, size=draw, dtype=np.int64))
     while len(codes) < k:
         extra = rng.integers(0, space, size=draw, dtype=np.int64)
-        codes = distinct_sorted(np.sort(np.concatenate([codes, extra])))
+        codes = np.unique(np.concatenate([codes, extra]))
     pick = rng.choice(len(codes), size=k, replace=False)
     return np.sort(codes[pick])
 

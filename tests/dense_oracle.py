@@ -14,17 +14,18 @@ from fractions import Fraction
 import numpy as np
 
 
-def dense_marginals(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(outbound, inbound) sums excluding the diagonal, by explicit loops."""
+def dense_marginals(matrix: np.ndarray) -> tuple[list[int], list[int]]:
+    """(outbound, inbound) sums excluding the diagonal, by explicit loops,
+    in Python ints so that no sum wraps."""
     n = matrix.shape[0]
-    outbound = np.zeros(n, dtype=np.int64)
-    inbound = np.zeros(n, dtype=np.int64)
+    outbound = [0] * n
+    inbound = [0] * n
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            outbound[i] += matrix[i, j]
-            inbound[j] += matrix[i, j]
+            outbound[i] += int(matrix[i, j])
+            inbound[j] += int(matrix[i, j])
     return outbound, inbound
 
 

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+import dense_oracle
 from odmwatch import DetectorConfig, HistoryStore, TimeWindow, _engine, cli, detector, store
 from odmwatch.cli import main
 from odmwatch.ingestion import canonical_windows
@@ -105,24 +106,44 @@ def test_ingest_unreadable_input_exits_one(tmp_path, capsys, content, reason):
     assert not (store_root / "mno" / f"{MONDAY}.odm").exists()
 
 
-def test_detect_count_beyond_engine_limit_names_period(tmp_path, capsys):
-    # 5e9 is within int64, so ingest keeps it, but above what the engine can
-    # square exactly; detect must fail naming where the value is stored.
+def test_detect_count_above_the_int64_cap_matches_the_oracle(tmp_path):
+    # 5e9 is within int64, so ingest keeps it, and above what int64 sums of
+    # squares can hold; detect evaluates the window on exact ints instead.
     store_root = tmp_path / "store"
     history = MONDAY - dt.timedelta(days=7)
     for date, count in ((history, 5_000_000_000), (MONDAY, 10)):
         path = tmp_path / f"{date}.csv"
         path.write_text(HEADER + f"{date},00:00:00,23:59:59,A,B,{count}\n", encoding="utf-8")
         assert main(["ingest", str(path), "--source", "mno", "--store-root", str(store_root)]) == 0
-    capsys.readouterr()
     out = tmp_path / "r.jsonl"
     argv = ["detect", "--source", "mno", "--date", str(MONDAY), "--store-root", str(store_root)]
-    assert main(argv + ["--output", str(out)]) == 1
+    assert main(argv + ["--output", str(out)]) == 0
+    rows = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()[1:-1]]
+    dense = lambda count: np.array([[0, count], [0, 0]])
+    oracle = dense_oracle.evaluate_dense(
+        dense(10), [dense(5_000_000_000)], ["A", "B"], 20, 0.75, "clamped"
+    )
+    assert len(rows) == len(oracle["outcomes"]) == 3
+    for row in rows:
+        want = oracle["outcomes"][(row["kind"], row["origin"], row["destination"])]
+        assert (row["status"], row["observed"], row["ma"], row["sd"]) == (
+            want["status"], want["observed"], want["ma"], want["sd"]
+        )
+
+
+def test_ingest_onto_a_corrupt_stored_date_exits_one(tmp_path, capsys):
+    # The put merges over the stored date, so it must read it first.
+    path = day_csv(tmp_path, MONDAY, per_day=1)
+    argv = ["ingest", str(path), "--source", "mno", "--store-root", str(tmp_path / "store")]
+    assert main(argv) == 0
+    stored = tmp_path / "store" / "mno" / f"{MONDAY}.odm"
+    stored.write_bytes(b"{")
+    capsys.readouterr()
+    assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: source 'mno', window 00:00:00-23:59:59, ")
-    assert f"period {history}: cell value 5000000000 exceeds" in err
-    assert "Traceback" not in err
-    assert not out.exists()
+    assert err.startswith(f"error: cannot read {stored}: bad header")
+    assert "re-ingest" in err and "Traceback" not in err
+    assert stored.read_bytes() == b"{"
 
 
 @pytest.mark.parametrize(
@@ -554,8 +575,9 @@ def test_every_config_key_reaches_the_run_config(tmp_path):
         ("th=20\np=abc\n", 2, "bad value 'abc' for p"),
         ("# tuned\nquantile=x\n", 2, "bad value 'x' for quantile"),
         ("th= 1.5 # comment\n", 1, "bad value '1.5' for th"),
+        ("th=20\nquantile 0.5\n", 2, "expected key=value, got 'quantile 0.5'"),
     ],
-    ids=["p", "quantile", "th"],
+    ids=["p", "quantile", "th", "no-equals"],
 )
 def test_config_file_bad_value_names_file_and_line(synthetic_store, tmp_path, capsys, text, line, message):
     config = tmp_path / "odmwatch.conf"
@@ -563,6 +585,16 @@ def test_config_file_bad_value_names_file_and_line(synthetic_store, tmp_path, ca
     argv = ["detect", "--source", "mno", "--date", str(MONDAY), "--config", str(config)]
     assert main(argv + ["--store-root", str(synthetic_store)]) == 1
     assert capsys.readouterr().err == f"error: {config}:{line}: {message}\n"
+
+
+def test_config_file_unknown_format_exits_one(synthetic_store, tmp_path, capsys):
+    config = tmp_path / "odmwatch.conf"
+    config.write_text("format=xml\n", encoding="utf-8")
+    out = tmp_path / "r.xml"
+    argv = ["detect", "--source", "mno", "--date", str(MONDAY), "--config", str(config)]
+    assert main(argv + ["--store-root", str(synthetic_store), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == "error: format must be one of ('jsonl', 'csv'), got 'xml'\n"
+    assert not out.exists()
 
 
 def test_detect_bad_date_names_the_flag(synthetic_store, tmp_path, capsys):

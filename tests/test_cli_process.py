@@ -119,6 +119,18 @@ def test_ingest_loads_only_what_it_runs(tmp_path):
     assert loaded.isdisjoint({"odmwatch.synth", "odmwatch.bench", "fractions", "logging"})
 
 
+def test_generate_loads_no_detection_engine(tmp_path):
+    spec = {"n_areas": 3, "density": 1.0, "base_volume": 50, "start_date": str(MONDAY), "days": 1}
+    (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+    argv = ["-X", "importtime", "-m", "odmwatch.cli", "generate", "spec.json", "out"]
+    generate = python(*argv, cwd=tmp_path)
+    assert generate.returncode == 0, generate.stderr
+    assert (tmp_path / "out" / f"{MONDAY}.csv").exists()
+    loaded = imported_modules(generate.stderr)
+    assert "odmwatch.synth" in loaded
+    assert loaded.isdisjoint({"odmwatch._engine", "odmwatch.detector", "odmwatch.bench"})
+
+
 # Runs ``cli.run`` with ``os._exit`` patched to print, just before the real
 # exit, the process's OS threads and its OPENBLAS_NUM_THREADS.
 THREADS_AT_EXIT = """

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import dense_oracle
 from helpers import (
     BASE_DATE,
+    compare_report_to_oracle,
     dense_to_sparse,
     evaluate_cell,
     row_fields,
@@ -24,6 +26,7 @@ from odmwatch import (
     detect_day,
     run_window,
 )
+from odmwatch.core import MAX_COUNT
 from odmwatch.detector import write_day_report_csv, write_day_report_jsonl, REPORT_COLUMNS
 from odmwatch.ingestion import canonical_windows
 from odmwatch.store import HistoryStore, history_dates
@@ -338,25 +341,54 @@ def test_missing_windows_from_profile(loaded_store):
 
 
 @pytest.mark.parametrize(
-    "history,period",
-    [((None, 5_000_000_000), 2), ((10, 5_000_000_000), 2), ((5_000_000_000, None), 1)],
+    "history",
+    [(None, 5_000_000_000), (10, 5_000_000_000), (5_000_000_000, None)],
     ids=["missing-then-big", "present-then-big", "big-then-missing"],
 )
-def test_engine_limit_names_the_period_that_holds_the_value(tmp_path, history, period):
-    # A missing period is left out of the engine's periods; the message must
-    # still name the date of the stored window that holds the value.
+def test_count_above_the_int64_cap_matches_the_oracle(tmp_path, history):
+    # 5e9 is above the int64 sums' cap of about 3.04e9 for one period, so
+    # the window is evaluated on exact ints; a missing period is still left
+    # out of n. With th = 2**62 every series is reported, with its ma and sd.
     store = HistoryStore(tmp_path / "store", retention_days=None)
     for date, count in zip(weekly_dates(len(history)), history):
         if count is not None:
             store.put_snapshot("src", SparseOdm(TimeWindow.full_day(date), {("A", "B"): count}))
     current = SparseOdm(W, {("A", "B"): 10})
     past = store.fetch_history("src", W, len(history), "weekly")
-    with pytest.raises(ValueError) as excinfo:
-        run_window(current, past, DetectorConfig(), source_id="src")
-    day = BASE_DATE - dt.timedelta(days=7 * period)
-    assert str(excinfo.value).startswith(
-        f"source 'src', window 00:00:00-23:59:59, period {day}: cell value 5000000000 exceeds"
+    dense = lambda count: None if count is None else np.array([[0, count], [0, 0]])
+    for th in (20, 2**62):
+        report = run_window(current, past, DetectorConfig(th=th), source_id="src")
+        oracle = dense_oracle.evaluate_dense(
+            dense(10), [dense(count) for count in history], ["A", "B"], th, 0.75, "clamped"
+        )
+        assert compare_report_to_oracle(report, oracle) == []
+    assert len(report.outcomes) == 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_counts_up_to_max_count_match_the_oracle(data):
+    # Cells up to 2**63 - 1 and their marginals, beyond int64, in 1-4 periods.
+    n = data.draw(st.integers(1, 4))
+    labels = [f"L{i}" for i in range(n)]
+    counts = st.lists(
+        st.one_of(st.integers(0, 60), st.integers(0, MAX_COUNT)), min_size=n * n, max_size=n * n
     )
+    dense = lambda: np.array(data.draw(counts), dtype=np.int64).reshape(n, n)
+    p = data.draw(st.integers(1, 4))
+    current = dense()
+    history = [dense() if data.draw(st.booleans()) else None for _ in range(p)]
+    th = data.draw(st.sampled_from([0, 20, 2**62]))
+    q = data.draw(st.sampled_from([0.5, 0.75]))
+    mode = data.draw(st.sampled_from(["clamped", "paper_literal"]))
+    past = [
+        None if h is None else dense_to_sparse(h, labels, TimeWindow.full_day(date))
+        for h, date in zip(history, weekly_dates(p))
+    ]
+    config = DetectorConfig(th=th, p=p, quantile=q, bounds_mode=mode)
+    report = run_window(dense_to_sparse(current, labels, W), past, config)
+    oracle = dense_oracle.evaluate_dense(current, history, labels, th, q, mode)
+    assert compare_report_to_oracle(report, oracle) == []
 
 
 def test_detect_reads_each_date_file_once(tmp_path, monkeypatch):

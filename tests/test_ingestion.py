@@ -237,6 +237,22 @@ def test_validate_day_names_missing_window(tmp_path):
     assert not report.clean
 
 
+def test_validate_day_refuses_a_snapshot_of_another_date():
+    monday = dt.date(2021, 6, 7)
+    tuesday = SparseOdm(TimeWindow.full_day(monday + dt.timedelta(days=1)), {("A", "B"): 1})
+    with pytest.raises(ValueError, match="snapshot for 2021-06-08 passed to validate_day"):
+        validate_day([tuesday], SourceProfile("mno"), monday)
+
+
+def test_blank_line_is_skipped(tmp_path):
+    # A bad row after blank lines is still named by its line in the file.
+    text = HEADER + "2021-06-07,00:00:00,23:59:59,A,B,10\n\n2021-06-07,00:00:00,23:59:59,B,C,5\n"
+    (matrix,) = parse_file(write(tmp_path, text))
+    assert dict(matrix.cells()) == {("A", "B"): 10, ("B", "C"): 5}
+    with pytest.raises(OdmParseError, match=":6:"):
+        parse_file(write(tmp_path, text + "\n2021-06-07,00:00:00,23:59:59,C,A,x\n"))
+
+
 def test_validate_day_flags_extra_window(tmp_path):
     date = dt.date(2021, 6, 7)
     rows = [

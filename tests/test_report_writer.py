@@ -12,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import write_reference_csv, write_reference_jsonl, write_reference_snapshots_csv
@@ -53,8 +53,23 @@ def day_reports(draw):
     return DayReport(source_id=source, date=DATE, config=config, window_reports=reports)
 
 
+def wide_day():
+    """Two 10**9 cells into one destination in 3 periods present: the
+    inbound marginal, 2 * 10**9, is above the int64 sums' cap for n = 3.
+    The D diagonal cell sets t to 5, so the fall of B-C is a signal."""
+    config = DetectorConfig(th=3, p=3, quantile=0.5)
+    cells = {("A", "C"): 10**9, ("B", "C"): 10**9}
+    history = [
+        SparseOdm(TimeWindow.full_day(DATE - dt.timedelta(days=7 * k)), cells) for k in (1, 2, 3)
+    ]
+    current = SparseOdm(TimeWindow.full_day(DATE), {("A", "C"): 10**9, ("B", "C"): 1, ("D", "D"): 5})
+    report = run_window(current, history, config, source_id="s")
+    return DayReport(source_id="s", date=DATE, config=config, window_reports=[report])
+
+
 @settings(max_examples=300, deadline=None)
 @given(day_reports(), st.sampled_from([1, 3, 4096]))
+@example(wide_day(), 1)
 def test_column_writers_match_the_row_writers(report, chunk_rows):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(detector, "_CHUNK_ROWS", chunk_rows)

@@ -416,6 +416,7 @@ def edit_window(**fields):
             "(start, end) order",
             True,
         ),
+        (lambda data: data.replace(b'"sha256":', b'"sha256":7,"was":', 1), "not strings", True),
         (edit_window(cells=-2), "bad cells or labels", True),
         (edit_window(labels=["B", "A"]), "labels not sorted, unique and non-empty", False),
         (edit_window(labels=["A", "A"]), "labels not sorted, unique and non-empty", False),
@@ -445,6 +446,7 @@ def edit_window(**fields):
         "other-date",
         "other-times",
         "duplicate-window",
+        "digest-not-a-string",
         "negative-cells",
         "unsorted-labels",
         "duplicate-labels",
@@ -536,6 +538,22 @@ def test_unnameable_window_times_rejected_before_writing(store, start, end):
     store.put_snapshot("src", good)
     assert store.get_snapshot("src", good.window) == good
     assert store.windows_for("src", MONDAY) == [good.window]
+
+
+def test_windows_of_two_dates_rejected_before_writing(store):
+    store.put_snapshot("src", snap(MONDAY, {("A", "B"): 1}))
+    before = (store.root / "src" / f"{MONDAY}.odm").read_bytes()
+    with pytest.raises(ValueError, match=f"cannot store src/{TUESDAY} together with {MONDAY}"):
+        store.put_snapshot("src", snap(MONDAY, {("A", "B"): 2}), snap(TUESDAY, {("A", "B"): 3}))
+    assert sorted(p.name for p in (store.root / "src").iterdir()) == [f"{MONDAY}.odm"]
+    assert (store.root / "src" / f"{MONDAY}.odm").read_bytes() == before
+
+
+def test_date_path_that_is_a_directory_raises_store_error(store):
+    path = store.root / "src" / f"{MONDAY}.odm"
+    path.mkdir(parents=True)
+    with pytest.raises(StoreError, match=f"cannot read {re.escape(str(path))}: "):
+        store.get_snapshot("src", TimeWindow.full_day(MONDAY))
 
 
 CRASH_BEFORE_RENAME = """

@@ -1,10 +1,11 @@
 import datetime as dt
 import json
 
+import numpy as np
 import pytest
 
 from odmwatch import AnomalySpec, SynthSpec, TimeWindow, generate
-from odmwatch.synth import SynthSpecError, load_spec_file, write_generated
+from odmwatch.synth import SynthSpecError, load_spec_file, sample_distinct_codes, write_generated
 
 MONDAY = dt.date(2021, 6, 7)
 
@@ -120,6 +121,18 @@ def test_marginal_anomaly_scales_row():
     assert spiked_cells.get((origin, origin), 0) == clean_cells.get((origin, origin), 0)
 
 
+def test_inbound_anomaly_scales_column():
+    clean, _ = generate(base_spec(), MONDAY, days=1, warmup_days=0)
+    clean_cells = dict(clean[0].cells())
+    dest = sorted({d for o, d in clean_cells if o != d})[0]
+    anomaly = AnomalySpec("inbound", None, dest, TimeWindow.full_day(MONDAY), "drop", 0.5)
+    dropped, _ = generate(base_spec(anomalies=(anomaly,)), MONDAY, days=1, warmup_days=0)
+    dropped_cells = dict(dropped[0].cells())
+    for (o, d), value in clean_cells.items():
+        want = round(value * 0.5) if d == dest and o != d else value
+        assert dropped_cells.get((o, d), 0) == want
+
+
 def test_anomaly_inside_warmup_rejected():
     anomaly = AnomalySpec(
         kind="cell",
@@ -217,3 +230,47 @@ def test_spec_file_errors(tmp_path):
     path.write_text(json.dumps({"n_areas": 5}), encoding="utf-8")
     with pytest.raises(SynthSpecError):
         load_spec_file(path)
+
+
+def test_spec_file_anomaly_times_with_several_windows_a_day(tmp_path):
+    # With 2 windows a day an anomaly names its window by start and end; one
+    # without them, or with times no generated window has, is refused.
+    anomaly = {"origin": "A0", "destination": "A1", "date": "2021-06-08", "anomaly": "spike"}
+    payload = {
+        "n_areas": 4,
+        "density": 1.0,
+        "base_volume": 50,
+        "start_date": "2021-06-07",
+        "days": 2,
+        "warmup": 1,
+        "windows_per_day": 2,
+        "anomalies": [{**anomaly, "start": "12:00:00", "end": "23:59:59", "magnitude": 3.0}],
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    spec, start, days, warmup_days = load_spec_file(path)
+    snapshots, labels = generate(spec, start, days, warmup_days)
+    afternoon = TimeWindow(dt.date(2021, 6, 8), dt.time(12, 0, 0), dt.time(23, 59, 59))
+    assert [label["start"] for label in labels] == ["12:00:00"]
+    monday_afternoon = TimeWindow(MONDAY, afternoon.start, afternoon.end)
+    cells = {m.window: dict(m.cells()) for m in snapshots}
+    assert cells[afternoon][("A0", "A1")] == 3 * cells[monday_afternoon][("A0", "A1")]
+
+    payload["anomalies"] = [{**anomaly, "magnitude": 3.0}]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(SynthSpecError, match="needs explicit start/end"):
+        load_spec_file(path)
+
+    payload["anomalies"] = [{**anomaly, "start": "06:00:00", "end": "11:59:59", "magnitude": 3.0}]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    spec, start, days, warmup_days = load_spec_file(path)
+    with pytest.raises(SynthSpecError, match="2021-06-08 06:00:00-11:59:59 is not generated"):
+        generate(spec, start, days, warmup_days)
+
+
+def test_sample_distinct_codes_from_a_large_space():
+    # Past 4M codes the sampler oversamples and deduplicates instead of
+    # drawing without replacement from the whole space.
+    codes = sample_distinct_codes(np.random.default_rng(0), 10**7, 5000)
+    assert codes.dtype == np.int64 and len(codes) == 5000
+    assert (np.diff(codes) > 0).all() and 0 <= codes[0] and codes[-1] < 10**7
