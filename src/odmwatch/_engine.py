@@ -47,8 +47,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,8 +61,7 @@ DIR_UPPER = 1
 DIR_LOWER = 2
 
 
-@dataclass(frozen=True)
-class Columnar:
+class Columnar(NamedTuple):
     """One matrix as sorted unique int64 cell codes plus counts."""
 
     codes: np.ndarray
@@ -79,8 +77,7 @@ def columnar_from_entries(matrix, ranks: np.ndarray, n_areas: int) -> Columnar:
     return Columnar(ranks[origins] * n_areas + ranks[dests], counts)
 
 
-@dataclass
-class SeriesBlock:
+class SeriesBlock(NamedTuple):
     """Per-series evaluation results for one group of monitored series."""
 
     observed: np.ndarray
@@ -94,15 +91,15 @@ class SeriesBlock:
     upper: np.ndarray | None = None
 
     def __len__(self) -> int:
+        """The number of series, not of fields."""
         return len(self.observed)
 
     def take(self, index) -> SeriesBlock:
         """The block at ``index`` (a slice or an index array) of every array."""
-        return SeriesBlock(**{k: None if v is None else v[index] for k, v in vars(self).items()})
+        return SeriesBlock(*(None if v is None else v[index] for v in self))
 
 
-@dataclass
-class WindowEvaluation:
+class WindowEvaluation(NamedTuple):
     n_areas: int
     available: int
     t: float

@@ -10,7 +10,7 @@ one window's worth of history.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,15 +19,14 @@ from .core import DetectorConfig
 from .synth import sample_distinct_codes
 
 
-@dataclass
-class BenchResult:
+class BenchResult(NamedTuple):
     areas: int
     nonzeros: int
     windows: int
     p: int
     generation_s: float
     stages_s: dict[str, float]
-    summary: dict[str, int] = field(default_factory=dict)
+    summary: dict[str, int]
 
     @property
     def detection_total_s(self) -> float:

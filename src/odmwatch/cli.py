@@ -12,9 +12,8 @@ import argparse
 import datetime as dt
 import os
 import sys
-from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 from .core import BOUNDS_MODES, STRIDE_DAYS, DetectorConfig
 from .ingestion import (
@@ -35,19 +34,24 @@ EXIT_VALIDATION = 2
 EXIT_MISSING_DATE = 3
 
 REPORT_FORMATS = ("jsonl", "csv")
-_DETECTOR_KEYS = {f.name for f in fields(DetectorConfig)}
+_DETECTOR_KEYS = set(DetectorConfig._fields)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    detector: DetectorConfig = field(default_factory=DetectorConfig)
+class _RunConfig(NamedTuple):
+    detector: DetectorConfig = DetectorConfig()
     store_root: Path = Path("odmwatch-store")
     output: Path = Path("report.jsonl")
     format: str = "jsonl"
 
-    def __post_init__(self) -> None:
+
+class RunConfig(_RunConfig):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> RunConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.format not in REPORT_FORMATS:
             raise ValueError(f"format must be one of {REPORT_FORMATS}, got {self.format!r}")
+        return self
 
     def open_store(self) -> HistoryStore:
         retention = retention_for(self.detector.p, self.detector.stride)

@@ -12,9 +12,8 @@ from __future__ import annotations
 import datetime as dt
 import operator
 from array import array
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 # Area labels are opaque strings; the label set is discovered from data.
 AreaId = str
@@ -30,20 +29,27 @@ STRIDE_DAYS = {"daily": 1, "weekly": 7}
 
 BOUNDS_MODES = ("clamped", "paper_literal")
 
+# A record that checks its fields is a NamedTuple of the fields plus a
+# subclass whose ``__new__`` checks them, as a NamedTuple may not define one.
 
-@dataclass(frozen=True, kw_only=True)
-class DetectorConfig:
-    """The five detection parameters, in the report header's order: the
-    eligibility threshold th, the window length p, the daily quantile, the
-    history stride and the lower-bound mode."""
 
+class _DetectorConfig(NamedTuple):
     th: int = 20
     p: int = 4
     quantile: float = 0.75
     stride: str = "weekly"
     bounds_mode: str = "clamped"
 
-    def __post_init__(self) -> None:
+
+class DetectorConfig(_DetectorConfig):
+    """The five detection parameters, in the report header's order: the
+    eligibility threshold th, the window length p, the daily quantile, the
+    history stride and the lower-bound mode. Built by keyword only."""
+
+    __slots__ = ()
+
+    def __new__(cls, **fields) -> DetectorConfig:
+        self = super().__new__(cls, **fields)
         if self.th < 0:
             raise ValueError("th must be >= 0")
         if self.p < 1:
@@ -54,21 +60,28 @@ class DetectorConfig:
             raise ValueError(f"stride must be one of {sorted(STRIDE_DAYS)}, got {self.stride!r}")
         if self.bounds_mode not in BOUNDS_MODES:
             raise ValueError(f"bounds_mode must be one of {BOUNDS_MODES}")
+        return self
+
+    def __getnewargs_ex__(self) -> tuple[tuple, dict]:
+        return (), self._asdict()  # copy and pickle build it by keyword too
 
 
-@dataclass(frozen=True, order=True)
-class TimeWindow:
-    """One sampling window: a calendar date plus start/end times of day."""
-
+class _TimeWindow(NamedTuple):
     date: dt.date
     start: dt.time
     end: dt.time
 
-    def __post_init__(self) -> None:
-        if self.start >= self.end:
-            raise ValueError(
-                f"window start {self.start} must precede end {self.end}"
-            )
+
+class TimeWindow(_TimeWindow):
+    """One sampling window: a calendar date plus start/end times of day,
+    ordered by (date, start, end)."""
+
+    __slots__ = ()
+
+    def __new__(cls, date: dt.date, start: dt.time, end: dt.time) -> TimeWindow:
+        if start >= end:
+            raise ValueError(f"window start {start} must precede end {end}")
+        return super().__new__(cls, date, start, end)
 
     @classmethod
     def full_day(cls, date: dt.date) -> "TimeWindow":

@@ -17,10 +17,9 @@ from __future__ import annotations
 import datetime as dt
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from pathlib import Path
-from typing import IO, Callable, Iterator, Sequence
+from typing import IO, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -167,8 +166,7 @@ def _where(written: np.ndarray, values: np.ndarray, null: str | None) -> list:
     return column.tolist()
 
 
-@dataclass
-class WindowReport:
+class WindowReport(NamedTuple):
     """One window's result. ``t`` is the day's quantile threshold, or th
     itself when ``degenerate`` (no cell reached th); ``eligible_count`` is
     the number of cells that did. ``outcomes`` holds the rows of the series
@@ -184,14 +182,13 @@ class WindowReport:
     summary: dict[str, int]
 
 
-@dataclass
-class DayReport:
+class DayReport(NamedTuple):
     source_id: str
     date: dt.date
     config: DetectorConfig
     window_reports: list[WindowReport]
-    missing_windows: list[str] = field(default_factory=list)
-    extra_windows: list[str] = field(default_factory=list)
+    missing_windows: Sequence[str] = ()
+    extra_windows: Sequence[str] = ()
     input_digest: str = ""
 
     @property
@@ -311,7 +308,7 @@ def _report_header(report: DayReport) -> dict:
         "record": "header",
         "source": report.source_id,
         "date": report.date.isoformat(),
-        "config": asdict(report.config),
+        "config": report.config._asdict(),
         "input_digest": report.input_digest,
         "windows": [
             {

@@ -9,15 +9,13 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import gzip
 import io
 import json
 import re
-from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from pathlib import Path
 from types import SimpleNamespace
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import MAX_COUNT, SparseOdm, TimeWindow
 
@@ -42,30 +40,34 @@ class OdmIntegrityError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class SourceProfile:
+class _SourceProfile(NamedTuple):
+    source_id: str
+    expected_windows_per_day: int = 1
+
+
+class SourceProfile(_SourceProfile):
     """Static expectations about one data source.
 
     ``expected_windows_per_day`` drives the missing/extra window checks.
     """
 
-    source_id: str
-    expected_windows_per_day: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> SourceProfile:
+        self = super().__new__(cls, *args, **kwargs)
         per_day = self.expected_windows_per_day
         if not isinstance(per_day, int) or per_day < 1:
             raise ValueError(f"expected_windows_per_day must be an integer >= 1, got {per_day!r}")
+        return self
 
 
-@dataclass
-class DayValidationReport:
+class DayValidationReport(NamedTuple):
     """Report-only comparison of one day's windows against expectations."""
 
     source_id: str
     date: dt.date
-    missing_windows: list[str] = field(default_factory=list)
-    extra_windows: list[str] = field(default_factory=list)
+    missing_windows: Sequence[str] = ()
+    extra_windows: Sequence[str] = ()
     total_volume: int = 0
 
     @property
@@ -73,7 +75,7 @@ class DayValidationReport:
         return not self.missing_windows and not self.extra_windows
 
     def to_json(self) -> str:
-        fields = {**asdict(self), "date": self.date.isoformat()}
+        fields = {**self._asdict(), "date": self.date.isoformat()}
         return json.dumps(fields, separators=(",", ":"))
 
 
@@ -179,6 +181,8 @@ def parse_rows(rows: Iterable[tuple[int, Sequence[str]]], source: str) -> list[S
 
 def _open_text(path: Path) -> IO[str]:
     if path.suffix == ".gz":
+        import gzip  # only here, so that a plain CSV ingest does not load it
+
         return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8", newline="")
     return open(path, "r", encoding="utf-8", newline="")
 

@@ -32,7 +32,6 @@ import json
 import operator
 import os
 import re
-import secrets
 import sys
 from array import array
 from contextlib import contextmanager
@@ -394,7 +393,7 @@ def atomic_open(path: Path, mode: str = "w", **kwargs) -> Iterator[IO]:
     directory fsynced; on an error it is removed and ``path`` keeps its old
     bytes. ``mode`` and ``kwargs`` go to ``open``.
     """
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, mode, **kwargs) as handle:

@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import dataclasses
 import datetime as dt
 import json
 
@@ -563,7 +562,7 @@ def test_every_config_key_reaches_the_run_config(tmp_path):
     path.write_text("".join(f"{k}={v}\n" for k, v in values.items()), encoding="utf-8")
     config = cli.build_config(argparse.Namespace(config=str(path)))
     default = cli.RunConfig()
-    detector_keys = {f.name for f in dataclasses.fields(DetectorConfig)}
+    detector_keys = set(DetectorConfig._fields)
     for key, text in values.items():
         got, base = (config.detector, default.detector) if key in detector_keys else (config, default)
         assert getattr(got, key) == cli._CONFIG_PARSERS[key](text) != getattr(base, key), key

@@ -20,6 +20,8 @@ SRC = str(Path(odmwatch.__file__).resolve().parents[1])
 # survives ``os._exit`` only if ``run`` flushes it.
 ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}, "PYTHONPATH": SRC}
 # What only detect, generate or bench runs; ingest must load none of it.
+# No record is a dataclass (whose import pulls in ``inspect``), the store's
+# temp names need no ``secrets``, and only a ``.gz`` input needs ``gzip``.
 NOT_FOR_INGEST = (
     "odmwatch.detector",
     "odmwatch._engine",
@@ -29,6 +31,10 @@ NOT_FOR_INGEST = (
     "numpy",
     "_strptime",
     "logging",
+    "dataclasses",
+    "inspect",
+    "secrets",
+    "gzip",
 )
 
 
@@ -117,6 +123,7 @@ def test_ingest_loads_only_what_it_runs(tmp_path):
     loaded = imported_modules(detect.stderr)
     assert {"odmwatch.detector", "odmwatch._engine"} <= loaded
     assert loaded.isdisjoint({"odmwatch.synth", "odmwatch.bench", "fractions", "logging"})
+    assert loaded.isdisjoint({"dataclasses", "secrets"}), sorted(loaded & {"dataclasses", "secrets"})
 
 
 def test_generate_loads_no_detection_engine(tmp_path):

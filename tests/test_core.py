@@ -1,5 +1,6 @@
-import dataclasses
+import copy
 import datetime as dt
+import pickle
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 import dense_oracle
 from helpers import series_values
-from odmwatch import SparseOdm, TimeWindow
+from odmwatch import DetectorConfig, SparseOdm, TimeWindow
+from odmwatch.cli import RunConfig
 
 W = TimeWindow.full_day(dt.date(2021, 6, 7))
 
@@ -107,6 +109,24 @@ def test_window_requires_start_before_end():
         TimeWindow(dt.date(2021, 6, 7), dt.time(10, 0, 0), dt.time(9, 0, 0))
 
 
+def test_records_are_immutable_values():
+    config = DetectorConfig(p=3, stride="daily")
+    assert config == DetectorConfig(stride="daily", p=3)
+    assert hash(config) == hash(DetectorConfig(stride="daily", p=3))
+    assert DetectorConfig._fields == ("th", "p", "quantile", "stride", "bounds_mode")
+    with pytest.raises(TypeError):
+        DetectorConfig(20)  # keyword-only
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        DetectorConfig(p=0)
+    day = dt.date(2021, 6, 7)
+    early, late = TimeWindow(day, dt.time(1), dt.time(3)), TimeWindow(day, dt.time(2), dt.time(3))
+    assert sorted([late, W, early]) == [W, early, late]  # by (date, start, end)
+    for record in (config, early, RunConfig()):
+        with pytest.raises(AttributeError):
+            record.p = 5
+        assert copy.copy(record) == copy.deepcopy(record) == pickle.loads(pickle.dumps(record)) == record
+
+
 @st.composite
 def sparse_matrices(draw):
     n = draw(st.integers(min_value=1, max_value=8))
@@ -180,7 +200,7 @@ def test_public_api_resolves():
         assert not hasattr(detector, name), name
     assert not hasattr(detector.ReportRows, "columns")
     assert not hasattr(odmwatch.ingestion, "records_for")
-    assert "timings" not in {f.name for f in dataclasses.fields(detector.WindowReport)}
+    assert "timings" not in detector.WindowReport._fields
     assert not hasattr(odmwatch.core, "FlowKey")
     assert not hasattr(odmwatch.store, "HistoryQuery") and not hasattr(odmwatch.store, "HistorySlice")
     assert not hasattr(detector, "ThresholdSet")
