@@ -53,10 +53,6 @@ class RunConfig(_RunConfig):
             raise ValueError(f"format must be one of {REPORT_FORMATS}, got {self.format!r}")
         return self
 
-    def open_store(self) -> HistoryStore:
-        retention = retention_for(self.detector.p, self.detector.stride)
-        return HistoryStore(self.store_root, retention_days=retention)
-
 
 _CONFIG_PARSERS = {
     "th": int,
@@ -112,44 +108,38 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         source_id=args.source,
         expected_windows_per_day=args.expected_windows,
     )
-    store = config.open_store()
-    by_window = {}  # same window in two files: the later file wins
+    store = HistoryStore(config.store_root)
+    days: dict[dt.date, list] = {}  # in file order: the put lets the later window win
     try:
         for path in args.files:
             for snapshot in parse_file(path):
-                by_window[snapshot.window] = snapshot
+                days.setdefault(snapshot.window.date, []).append(snapshot)
     except (OdmParseError, OdmIntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {path}: {getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
         return EXIT_ERROR
-    days: dict[dt.date, list] = {}
-    for snapshot in by_window.values():
-        days.setdefault(snapshot.window.date, []).append(snapshot)
-    dates = sorted(days)
 
+    retention = retention_for(config.detector.p, config.detector.stride)
     try:
         store.put_profile(profile)
-        for date in dates:  # one commit per date
-            pruned = store.put_snapshot(args.source, *days[date])
-            if args.verbose:
-                for old in pruned:
-                    print(
-                        f"pruned {args.source}/{old}: older than {store.retention_days} days",
-                        file=sys.stderr,
-                    )
+        stored = {date: store.put_snapshot(args.source, *days[date]) for date in sorted(days)}
+        pruned = store.prune(args.source, retention) if days else []
     except (StoreError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    if args.verbose:
+        for old in pruned:
+            print(f"pruned {args.source}/{old}: older than {retention} days", file=sys.stderr)
 
     status = EXIT_OK
-    for date in dates:
-        report = validate_day(days[date], profile, date)
+    for date, day in stored.items():
+        report = validate_day(day, profile, date)
         print(report.to_json())
         if not report.clean:
             status = EXIT_VALIDATION
-    if not dates:
+    if not days:
         print(f"warning: no rows ingested from {', '.join(map(str, args.files))}", file=sys.stderr)
     return status
 
@@ -162,9 +152,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
         date = dt.date.fromisoformat(args.date)
     except ValueError as exc:
         raise ValueError(f"bad --date {args.date!r}: {exc}") from None
-    store = config.open_store()
     try:
-        report = detect_day(store, args.source, date, config.detector)
+        report = detect_day(HistoryStore(config.store_root), args.source, date, config.detector)
     except (StoreError, OdmParseError, OdmIntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

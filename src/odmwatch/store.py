@@ -12,21 +12,22 @@ counts. An all-zero window has no labels and no cells.
 
 Storing windows merges them over the date's stored windows and commits the
 whole date with one atomic rename (temp file, fsync, rename), so a reader
-concurrent with a writer, or after a crash, sees each date either old or
-new, never torn or mixed. Every read checks the header's shape, the array
-lengths against the file size and the payload hash; a read that returns a
-window's snapshot also checks its labels (sorted, unique, non-empty, each
-used), codes (strictly increasing, below ``len(labels)**2``) and counts
-(> 0). A failed check raises ``StoreError`` naming the file and the reason;
-the date must then be re-ingested. A source directory holds only
-``profile.json``, hidden temp files and date files: any other name, such as
-a per-window CSV of an older layout, is an error asking for a re-ingest, so
-history written in another layout never reads as absent.
+concurrent with a writer, or after a crash, sees each date either old or new,
+never torn or mixed; a source's writers take turns on a lock. Every read
+checks the header's shape, the array lengths against the file size and the
+payload hash; a read that returns a window's snapshot also checks its labels
+(sorted, unique, non-empty, each used), codes (strictly increasing, below
+``len(labels)**2``) and counts (> 0). A failed check raises ``StoreError``
+naming the file and the reason; the date must then be re-ingested. A source
+directory holds only ``profile.json``, hidden temp files and date files: any
+other name, such as a per-window CSV of an older layout, is an error asking
+for a re-ingest, so history written in another layout never reads as absent.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import fcntl
 import hashlib
 import json
 import operator
@@ -67,14 +68,13 @@ class StoreError(OSError):
 class HistoryStore:
     """Date-granular snapshot store rooted at a directory.
 
-    Single-writer per source is assumed; readers are unlimited.
-    ``retention_days`` bounds how far behind the newest stored date the
-    files of old dates are kept (pruned on write); ``None`` disables pruning.
+    Readers take no lock. A put or a prune holds an exclusive ``flock`` on
+    its source's directory, at one ``open``, ``flock`` and ``close`` a call,
+    so writers of one source take turns and none loses another's windows.
     """
 
-    def __init__(self, root: str | Path, retention_days: int | None = 35) -> None:
+    def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-        self.retention_days = retention_days
         self.root.mkdir(parents=True, exist_ok=True)
 
     # -- paths ---------------------------------------------------------
@@ -155,14 +155,12 @@ class HistoryStore:
 
     # -- snapshots -----------------------------------------------------
 
-    def put_snapshot(
-        self, source_id: str, snapshot: SparseOdm, *more: SparseOdm
-    ) -> list[dt.date]:
+    def put_snapshot(self, source_id: str, snapshot: SparseOdm, *more: SparseOdm) -> list[SparseOdm]:
         """Persist the given windows of one date, merged over that date's
         stored windows: a given window replaces the stored one with the same
         times, and among the given ones the later wins. The date's file is
-        rewritten and committed by one rename. Returns the dates then pruned
-        (see ``retention_days``), oldest first.
+        rewritten and committed by one rename. Returns the date's windows as
+        stored, in (start, end) order, decoding only the stored ones kept.
 
         Raises ``ValueError``, writing nothing, for windows of different
         dates or window times with fractional seconds or a time zone; and
@@ -181,17 +179,34 @@ class HistoryStore:
                     f"cannot store {source_id}/{date}: window {window.times_key()} "
                     "needs whole-second times without a time zone"
                 )
+        given = {m.window: m for m in (snapshot, *more)}
         path = self._date_path(source_id, date)
-        dates = self.dates_for(source_id)
-        by_window = {m.window: m for m in self.read_day(source_id, date, lambda window: True)[2]}
-        by_window.update((m.window, m) for m in (snapshot, *more))
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            with atomic_open(path, "wb") as handle:
-                handle.write(_encode_day(date, [by_window[w] for w in sorted(by_window)]))
+            with _locked(path.parent):
+                self.dates_for(source_id)  # a stray file refuses the put, nothing written
+                kept = self.read_day(source_id, date, lambda window: window not in given)[2]
+                day = sorted((*kept, *given.values()), key=operator.attrgetter("window"))
+                with atomic_open(path, "wb") as handle:
+                    handle.write(_encode_day(date, day))
+        except StoreError:
+            raise
         except OSError as exc:
             raise StoreError(f"cannot store {source_id}/{date}: {exc}") from exc
-        return self._prune(source_id, {*dates, date})
+        return day
+
+    def prune(self, source_id: str, retention_days: int) -> list[dt.date]:
+        """Unlink the files of the source's dates more than ``retention_days``
+        before its newest stored date; returns those dates, oldest first."""
+        directory = self._source_dir(source_id)
+        if not directory.is_dir():
+            return []
+        with _locked(directory):
+            dates = self.dates_for(source_id)
+            pruned = [date for date in dates if (dates[-1] - date).days > retention_days]
+            for date in pruned:
+                self._date_path(source_id, date).unlink(missing_ok=True)
+        return pruned
 
     def get_snapshot(self, source_id: str, window: TimeWindow) -> SparseOdm | None:
         """Retrieve one snapshot, or ``None`` when it was never stored.
@@ -256,19 +271,6 @@ class HistoryStore:
             raise StoreError(
                 f"cannot read {path}: {exc}; remove it and re-ingest the date"
             ) from None
-
-    # -- internals -----------------------------------------------------
-
-    def _prune(self, source_id: str, dates: set[dt.date]) -> list[dt.date]:
-        """Unlink the files of ``dates`` more than ``retention_days`` before
-        the newest of them; those dates, oldest first."""
-        if self.retention_days is None:
-            return []
-        cutoff = max(dates) - dt.timedelta(days=self.retention_days)
-        pruned = sorted(date for date in dates if date < cutoff)
-        for date in pruned:
-            self._date_path(source_id, date).unlink(missing_ok=True)
-        return pruned
 
 
 def _encode_day(date: dt.date, day: Sequence[SparseOdm]) -> bytes:
@@ -335,27 +337,20 @@ def _decode_day(
     if hashlib.sha256(payload).hexdigest() != digests[0]:
         raise ValueError("array section does not match its sha256")
     arrays = memoryview(_little_endian(payload)).cast("q")
-    wanted = [decode(window) for window, _, _ in entries]
-    # Equal labels of the decoded windows share one str, as detect holds p+1
-    # dates at once; one window has no equal labels to share.
-    shared: dict[str, str] | None = {} if sum(wanted) > 1 else None
     snapshots = []
     start = 0
-    for (window, labels, cells), decoded in zip(entries, wanted):
-        if decoded:
+    for window, labels, cells in entries:
+        if decode(window):
             codes = arrays[start : start + cells]
             counts = arrays[start + cells : start + 2 * cells]
-            snapshots.append(_checked_snapshot(window, labels, codes, counts, shared))
+            snapshots.append(_checked_snapshot(window, labels, codes, counts))
         start += 2 * cells
     return digests[1], [window for window, _, _ in entries], snapshots
 
 
-def _checked_snapshot(
-    window: TimeWindow, labels: list, codes, counts, shared: dict[str, str] | None
-) -> SparseOdm:
-    """One window's snapshot, after checking its labels and columns. Unless
-    ``shared`` is ``None``, each label is the one it holds for its value,
-    added when new."""
+def _checked_snapshot(window: TimeWindow, labels: list, codes, counts) -> SparseOdm:
+    """One window's snapshot, after checking its labels and columns; its
+    labels are interned, to share one str across the p+1 dates detect holds."""
     import numpy as np
 
     n = len(labels)
@@ -380,9 +375,18 @@ def _checked_snapshot(
         used[cells // n] = used[cells % n] = True
     if not used.all():
         raise ValueError(f"window {window.times_key()}: a label no cell uses")
-    if shared is not None:
-        labels = [shared.setdefault(label, label) for label in labels]
-    return SparseOdm.from_columns(window, labels, codes, counts)
+    return SparseOdm.from_columns(window, map(sys.intern, labels), codes, counts)
+
+
+@contextmanager
+def _locked(directory: Path) -> Iterator[None]:
+    """An exclusive ``flock`` on ``directory`` itself until the block ends."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)
 
 
 @contextmanager

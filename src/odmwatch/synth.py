@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import datetime as dt
 import json
-import math
 from pathlib import Path
 from typing import NamedTuple
 
@@ -77,7 +76,6 @@ class _SynthSpec(NamedTuple):
     n_areas: int
     density: float
     base_volume: float
-    weekly_amplitude: float = 0.0
     noise: float = 0.0
     seed: int = 0
     windows_per_day: int = 1
@@ -96,8 +94,6 @@ class SynthSpec(_SynthSpec):
             raise SynthSpecError("density must be in (0, 1]")
         if self.base_volume <= 0:
             raise SynthSpecError("base_volume must be positive")
-        if not 0.0 <= self.weekly_amplitude < 1.0:
-            raise SynthSpecError("weekly_amplitude must be in [0, 1)")
         if not 0.0 <= self.noise < 1.0:
             raise SynthSpecError("noise must be in [0, 1)")
         if self.windows_per_day < 1:
@@ -112,10 +108,7 @@ class SynthSpec(_SynthSpec):
         return [f"A{i:0{width}d}" for i in range(self.n_areas)]
 
     def weekday_factor(self, date: dt.date) -> float:
-        w = date.weekday()
-        if self.weekday_factors is not None:
-            return self.weekday_factors[w]
-        return 1.0 + self.weekly_amplitude * math.cos(2.0 * math.pi * w / 7.0)
+        return 1.0 if self.weekday_factors is None else self.weekday_factors[date.weekday()]
 
 
 def sample_distinct_codes(rng: np.random.Generator, space: int, k: int) -> np.ndarray:
@@ -284,7 +277,18 @@ def write_generated(
     )
 
 
+_ANOMALY_KEYS = {"kind", "origin", "destination", "date", "start", "end", "anomaly", "magnitude"}
+
+
+def _known_keys(entry: dict, keys: set[str], what: str) -> None:
+    """Raise ``ValueError`` naming the first key of ``entry`` not in ``keys``."""
+    unknown = sorted(set(entry) - keys)
+    if unknown:
+        raise ValueError(f"unknown {what} key {unknown[0]!r}")
+
+
 def _parse_anomaly(entry: dict, windows_per_day: int) -> AnomalySpec:
+    _known_keys(entry, _ANOMALY_KEYS, "anomaly")
     kind = entry.get("kind", "cell")
     if kind not in ("cell", "inbound", "outbound"):
         raise SynthSpecError(f"anomaly key kind {kind!r} unknown")
@@ -323,13 +327,13 @@ def load_spec_file(path: str | Path) -> tuple[SynthSpec, dt.date, int, int]:
     except (OSError, json.JSONDecodeError) as exc:
         raise SynthSpecError(f"cannot read spec file {path}: {exc}") from exc
     try:
+        _known_keys(data, {*SynthSpec._fields, "start_date", "days", "warmup"}, "spec")
         windows_per_day = int(data.get("windows_per_day", 1))
         factors = data.get("weekday_factors")
         spec = SynthSpec(
             n_areas=int(data["n_areas"]),
             density=float(data["density"]),
             base_volume=float(data["base_volume"]),
-            weekly_amplitude=float(data.get("weekly_amplitude", 0.0)),
             noise=float(data.get("noise", 0.0)),
             seed=int(data.get("seed", 0)),
             windows_per_day=windows_per_day,
@@ -343,6 +347,7 @@ def load_spec_file(path: str | Path) -> tuple[SynthSpec, dt.date, int, int]:
         days = int(data["days"])
         warmup = data.get("warmup", {})
         if isinstance(warmup, dict):
+            _known_keys(warmup, {"p", "stride"}, "warmup")
             defaults = DetectorConfig()
             stride = warmup.get("stride", defaults.stride)
             if stride not in STRIDE_DAYS:

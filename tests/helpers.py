@@ -224,7 +224,7 @@ def run_store_backed_trial(
             history_dense.append(random_dense(rng, n, density, vmax))
 
     source = f"trial{trial}"
-    store = HistoryStore(store_root, retention_days=None)
+    store = HistoryStore(store_root)
     for k, h in enumerate(history_dense, start=1):
         if h is None:
             continue

@@ -165,7 +165,7 @@ def anomaly_world(tmp_path_factory):
     snapshots, labels = generate(synth_spec(anomalies), MONDAY, days=29, warmup_days=28)
     write_generated(tmp / "generated", snapshots, labels)
 
-    store = HistoryStore(tmp / "store", retention_days=None)
+    store = HistoryStore(tmp / "store")
     for csv_path in sorted((tmp / "generated").glob("*.csv")):
         for snapshot in parse_file(csv_path):
             store.put_snapshot("synth", snapshot)

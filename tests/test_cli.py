@@ -185,6 +185,38 @@ def test_verbose_ingest_names_each_pruned_date(tmp_path, capsys, verbose):
     assert capsys.readouterr().err == expected
 
 
+def test_per_window_files_validate_the_date_as_stored(tmp_path, capsys):
+    argv = ["ingest", "--source", "mno", "--expected-windows", "2"]
+    argv += ["--store-root", str(tmp_path / "store")]
+    morning, evening = canonical_windows(MONDAY, 2)
+    paths = []
+    for window, count in ((morning, 3), (evening, 4)):
+        path = tmp_path / f"{window.times_key()}.csv"
+        path.write_text(HEADER + f"{MONDAY},{window.start},{window.end},A,B,{count}\n", "utf-8")
+        paths.append(str(path))
+    assert main([*argv, paths[0]]) == 2
+    assert json.loads(capsys.readouterr().out)["missing_windows"] == [evening.times_key()]
+    assert main([*argv, paths[1]]) == 0  # both windows are stored now
+    report = json.loads(capsys.readouterr().out)
+    assert (report["missing_windows"], report["total_volume"]) == ([], 7)
+
+
+def test_verbose_multi_date_ingest_names_each_pruned_date_once(tmp_path, capsys):
+    argv = ["ingest", "--source", "mno", "--store-root", str(tmp_path / "store")]
+    dates = [MONDAY - dt.timedelta(days=k) for k in (50, 45, 40)]
+    for date in dates[::2]:
+        assert main([*argv, str(day_csv(tmp_path, date, per_day=1))]) == 0
+    rows = [f"{date},00:00:00,23:59:59,A,B,5" for date in (dates[1], MONDAY)]
+    path = tmp_path / "two-dates.csv"
+    path.write_text(HEADER + "\n".join(rows) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["-v", *argv, str(path)]) == 0
+    assert capsys.readouterr().err == "".join(
+        f"pruned mno/{date}: older than 35 days\n" for date in dates
+    )
+    assert HistoryStore(tmp_path / "store").dates_for("mno") == [MONDAY]
+
+
 def test_ingest_missing_window_exits_two(tmp_path, capsys):
     windows = canonical_windows(MONDAY, 24)[:-1]
     rows = [

@@ -126,6 +126,19 @@ def test_ingest_loads_only_what_it_runs(tmp_path):
     assert loaded.isdisjoint({"dataclasses", "secrets"}), sorted(loaded & {"dataclasses", "secrets"})
 
 
+def test_ingest_that_redelivers_a_stored_date_loads_no_numpy(tmp_path):
+    # The put replaces every stored window, so it decodes none of them.
+    days = week_of_days(tmp_path)
+    store = ["--source", "src", "--store-root", "store"]
+    first = odmwatch_cli("ingest", days, *store, cwd=tmp_path)
+    assert first.returncode == 0, first.stderr
+    again = python("-X", "importtime", "-m", "odmwatch.cli", "ingest", days, *store, cwd=tmp_path)
+    assert again.returncode == 0, again.stderr
+    assert again.stdout == first.stdout
+    loaded = imported_modules(again.stderr)
+    assert loaded.isdisjoint(NOT_FOR_INGEST), sorted(loaded & set(NOT_FOR_INGEST))
+
+
 def test_generate_loads_no_detection_engine(tmp_path):
     spec = {"n_areas": 3, "density": 1.0, "base_volume": 50, "start_date": str(MONDAY), "days": 1}
     (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")

@@ -271,7 +271,7 @@ def test_oracle_equivalence_small_batch(tmp_path):
 
 @pytest.fixture
 def loaded_store(tmp_path):
-    store = HistoryStore(tmp_path / "store", retention_days=None)
+    store = HistoryStore(tmp_path / "store")
     entries = flat_world()
     for d in weekly_dates():
         store.put_snapshot("src", SparseOdm(TimeWindow.full_day(d), entries))
@@ -349,7 +349,7 @@ def test_count_above_the_int64_cap_matches_the_oracle(tmp_path, history):
     # 5e9 is above the int64 sums' cap of about 3.04e9 for one period, so
     # the window is evaluated on exact ints; a missing period is still left
     # out of n. With th = 2**62 every series is reported, with its ma and sd.
-    store = HistoryStore(tmp_path / "store", retention_days=None)
+    store = HistoryStore(tmp_path / "store")
     for date, count in zip(weekly_dates(len(history)), history):
         if count is not None:
             store.put_snapshot("src", SparseOdm(TimeWindow.full_day(date), {("A", "B"): count}))
@@ -395,7 +395,7 @@ def test_detect_reads_each_date_file_once(tmp_path, monkeypatch):
     # An 8-window day against p = 4 weekly periods, one of them absent: one
     # read per date file, a failed one for the absent date, and each window
     # scored as against its own snapshots read one by one.
-    store = HistoryStore(tmp_path / "store", retention_days=None)
+    store = HistoryStore(tmp_path / "store")
     for k in (0, 1, 2, 4):
         date = BASE_DATE - dt.timedelta(days=7 * k)
         store.put_snapshot(

@@ -37,7 +37,7 @@ CONFIGS = {
 @pytest.fixture
 def store_root(tmp_path):
     root = tmp_path / "store"
-    store = HistoryStore(root, retention_days=None)
+    store = HistoryStore(root)
     for k, entries in enumerate(HISTORY, start=1):
         past = DATE - dt.timedelta(days=7 * k)
         store.put_snapshot("src", SparseOdm(TimeWindow(past, *MORNING), entries))

@@ -28,7 +28,7 @@ HEADER = b"date,start,end,origin,destination,count\n"
 
 @pytest.fixture
 def store(tmp_path):
-    return HistoryStore(tmp_path / "store", retention_days=None)
+    return HistoryStore(tmp_path / "store")
 
 
 def snap(date, entries, start=None, end=None):
@@ -238,21 +238,27 @@ def test_corrupt_profile_raises_store_error(store, content, reason):
     assert reason in str(excinfo.value)
 
 
-def test_retention_prunes_old_days(tmp_path):
-    store = HistoryStore(tmp_path / "store", retention_days=10)
-    assert store.put_snapshot("src", snap(MONDAY - dt.timedelta(days=30), {("A", "B"): 1})) == []
-    assert store.put_snapshot("src", snap(MONDAY, {("A", "B"): 2})) == [
-        MONDAY - dt.timedelta(days=30)
-    ]
+def test_retention_prunes_old_days(store):
+    store.put_snapshot("src", snap(MONDAY - dt.timedelta(days=30), {("A", "B"): 1}))
+    assert store.prune("src", 10) == []
+    store.put_snapshot("src", snap(MONDAY, {("A", "B"): 2}))
+    assert store.prune("src", 10) == [MONDAY - dt.timedelta(days=30)]
     assert store.dates_for("src") == [MONDAY]
 
 
-def test_retention_keeps_window(tmp_path):
-    store = HistoryStore(tmp_path / "store", retention_days=35)
+def test_retention_keeps_window(store):
     old = MONDAY - dt.timedelta(days=28)
     store.put_snapshot("src", snap(old, {("A", "B"): 1}))
-    assert store.put_snapshot("src", snap(MONDAY, {("A", "B"): 2})) == []
+    store.put_snapshot("src", snap(MONDAY, {("A", "B"): 2}))
+    assert store.prune("src", 35) == []
     assert store.dates_for("src") == [old, MONDAY]
+
+
+def test_prune_of_a_source_without_dates(store):
+    assert store.prune("src", 35) == []  # no source directory
+    store.put_profile(SourceProfile("src", expected_windows_per_day=1))
+    assert store.prune("src", 35) == []
+    assert [p.name for p in (store.root / "src").iterdir()] == ["profile.json"]
 
 
 def test_retention_default_policy():
@@ -351,7 +357,7 @@ def day_digest_by_definition(snapshots):
 @pytest.mark.parametrize("seed", range(6))
 def test_day_digest_matches_its_definition_after_reingests(tmp_path, seed):
     rng = np.random.default_rng(seed)
-    store = HistoryStore(tmp_path / "store", retention_days=None)
+    store = HistoryStore(tmp_path / "store")
     slots = [(dt.time(3 * k, 0, 0), dt.time(3 * k + 2, 59, 59)) for k in range(8)]
     dates = [MONDAY - dt.timedelta(days=k) for k in range(3)]
     expected: dict[dt.date, dict[TimeWindow, SparseOdm]] = {d: {} for d in dates}
@@ -499,8 +505,10 @@ def test_corrupt_window_file_raises_store_error(store, corrupt, reason, every_re
     "name", [f"{MONDAY}.csv", f"{MONDAY}.index.json", "notes.txt", f"{MONDAY}_000000-235959.csv"]
 )
 def test_old_layout_file_raises_store_error(store, name):
+    store.put_snapshot("src", snap(TUESDAY, {("A", "B"): 1}))
+    stored = store.root / "src" / f"{TUESDAY}.odm"
+    before = stored.read_bytes()
     stray = store.root / "src" / name
-    stray.parent.mkdir(parents=True)
     stray.write_text("date,start,end,origin,destination,count\n", encoding="utf-8")
     for read in (
         lambda: store.windows_for("src", MONDAY),
@@ -508,12 +516,15 @@ def test_old_layout_file_raises_store_error(store, name):
         lambda: store.dates_for("src"),
         lambda: store.day_digest("src", MONDAY),
         lambda: store.put_snapshot("src", snap(MONDAY, {("A", "B"): 1})),
+        lambda: store.put_snapshot("src", snap(TUESDAY, {("A", "B"): 2})),  # a stored date
     ):
         with pytest.raises(StoreError) as excinfo:
             read()
         assert str(stray) in str(excinfo.value)
         assert "re-ingest" in str(excinfo.value)
-    assert [p.name for p in stray.parent.iterdir()] == [name]  # nothing written
+    # Nothing written.
+    assert sorted(p.name for p in stray.parent.iterdir()) == sorted([name, stored.name])
+    assert stored.read_bytes() == before
 
 
 @pytest.mark.parametrize(
@@ -556,6 +567,67 @@ def test_date_path_that_is_a_directory_raises_store_error(store):
         store.get_snapshot("src", TimeWindow.full_day(MONDAY))
 
 
+TWO_WRITERS = """
+import datetime as dt, fcntl, sys
+from odmwatch import HistoryStore, SparseOdm, TimeWindow
+from odmwatch import store as store_module
+
+root, start, end, role = sys.argv[1:]
+if role == "hold":  # pause inside the put, after its read, until told on stdin
+    encode = store_module._encode_day
+
+    def encode_when_told(date, day):
+        print("holding", flush=True)
+        sys.stdin.readline()
+        return encode(date, day)
+
+    store_module._encode_day = encode_when_told
+else:  # say when the put asks for the lock
+    flock = fcntl.flock
+
+    def announced_flock(fd, operation):
+        print("locking", flush=True)
+        flock(fd, operation)
+
+    fcntl.flock = announced_flock
+window = TimeWindow(dt.date(2021, 6, 7), dt.time.fromisoformat(start), dt.time.fromisoformat(end))
+HistoryStore(root).put_snapshot("src", SparseOdm(window, {("A", "B"): 1}))
+"""
+
+
+def test_a_put_waits_while_another_process_holds_the_source_lock(store):
+    src_root = Path(odmwatch.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src_root)}
+
+    def put(start, end, role):
+        argv = [sys.executable, "-c", TWO_WRITERS, str(store.root), start, end, role]
+        pipes = dict(stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        return subprocess.Popen(argv, env=env, text=True, **pipes)
+
+    holder = put("00:00:00", "11:59:59", "hold")
+    waiter = None
+    try:
+        assert holder.stdout.readline() == "holding\n"
+        waiter = put("12:00:00", "23:59:59", "wait")
+        assert waiter.stdout.readline() == "locking\n"
+        with pytest.raises(subprocess.TimeoutExpired):
+            waiter.wait(timeout=1)  # the holder has read the date and not yet written it
+        holder.stdin.write("\n")
+        holder.stdin.flush()
+        assert holder.wait(timeout=120) == 0, holder.stderr.read()
+        assert waiter.wait(timeout=120) == 0, waiter.stderr.read()
+    finally:
+        for child in (holder, waiter):
+            if child is not None:
+                if child.poll() is None:
+                    child.kill()
+                child.communicate()  # closes the pipes
+    assert [(w.start.isoformat(), w.end.isoformat()) for w in store.windows_for("src", MONDAY)] == [
+        ("00:00:00", "11:59:59"),
+        ("12:00:00", "23:59:59"),
+    ]
+
+
 CRASH_BEFORE_RENAME = """
 import datetime as dt, os, sys
 from odmwatch import HistoryStore, SparseOdm, TimeWindow
@@ -565,7 +637,7 @@ def crash(src, dst):
     os._exit(17 if os.path.getsize(src) > 0 else 18)
 
 os.replace = crash
-store = HistoryStore(sys.argv[1], retention_days=None)
+store = HistoryStore(sys.argv[1])
 window = TimeWindow(dt.date.fromisoformat(sys.argv[2]), dt.time(0, 0, 0), dt.time(23, 59, 59))
 store.put_snapshot("src", SparseOdm(window, {("A", "B"): 99, ("C", "D"): 1}))
 """
@@ -632,7 +704,7 @@ def test_crash_mid_reingest_leaves_the_date_old_or_new(tmp_path):
         timeout=60,
     )
     assert child.returncode == 17, child.stderr.decode()
-    store = HistoryStore(root, retention_days=None)
+    store = HistoryStore(root)
     windows = store.windows_for("src", MONDAY)
     assert windows == canonical_windows(MONDAY, 8)
     counts = [dict(store.get_snapshot("src", w).cells())[("A", "B")] for w in windows]
@@ -682,7 +754,7 @@ def test_stored_labels_round_trip_or_are_rejected(tmp_path_factory, cells):
     for m in parsed:
         assert_columnar(m, kept)
 
-    store = HistoryStore(tmp_path_factory.mktemp("store"), retention_days=None)
+    store = HistoryStore(tmp_path_factory.mktemp("store"))
     other = snap(MONDAY, {("P", "Q"): 5}, dt.time(0, 0, 0), dt.time(11, 59, 59))
     store.put_snapshot("src", other)
     m = SparseOdm(window, cells)

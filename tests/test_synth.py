@@ -232,6 +232,37 @@ def test_spec_file_errors(tmp_path):
         load_spec_file(path)
 
 
+@pytest.mark.parametrize(
+    "edit,key",
+    [
+        (lambda spec: spec.update(noize=0.1), "spec key 'noize'"),
+        (lambda spec: spec.update(weekly_amplitude=0.2), "spec key 'weekly_amplitude'"),
+        (lambda spec: spec["warmup"].update(stirde="daily"), "warmup key 'stirde'"),
+        (lambda spec: spec["anomalies"][0].update(magnitdue=2.0), "anomaly key 'magnitdue'"),
+    ],
+    ids=["top-level", "retired-knob", "warmup", "anomaly"],
+)
+def test_spec_file_refuses_an_unknown_key(tmp_path, edit, key):
+    anomaly = {"origin": "A0", "destination": "A1", "date": "2021-06-07", "anomaly": "spike"}
+    payload = {
+        "n_areas": 4,
+        "density": 1.0,
+        "base_volume": 50,
+        "start_date": "2021-06-07",
+        "days": 1,
+        "warmup": {"p": 1, "stride": "daily"},
+        "anomalies": [{**anomaly, "magnitude": 3.0}],
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    load_spec_file(path)
+    edit(payload)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(SynthSpecError) as excinfo:
+        load_spec_file(path)
+    assert str(excinfo.value) == f"bad spec file {path}: unknown {key}"
+
+
 def test_spec_file_anomaly_times_with_several_windows_a_day(tmp_path):
     # With 2 windows a day an anomaly names its window by start and end; one
     # without them, or with times no generated window has, is refused.
