@@ -172,6 +172,20 @@ def _check_cap(values: np.ndarray, cap: float) -> None:
         raise _Wide
 
 
+def distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The position in ``keys`` of the first of each distinct key, in key
+    order, and each key's index among them: a stable argsort and a mask of
+    its neighbours that differ."""
+    order = np.argsort(keys, kind="stable")
+    merged = keys[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(merged[1:], merged[:-1], out=first[1:])
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return order[first], inverse
+
+
 def _group_starts(sorted_ids: np.ndarray) -> np.ndarray:
     if len(sorted_ids) == 0:
         return np.empty(0, dtype=np.int64)
@@ -209,17 +223,11 @@ def _evaluate(current, history, n_areas, th, q, mode, dtype: type) -> WindowEval
     for mat in periods:
         _check_cap(mat.values, cap)
 
-    # Each code array is sorted, so the stable sort only merges runs. Its
-    # permutation also carries every period's positions in the union.
+    # Each code array is sorted, so the stable sort only merges runs. Each
+    # code's index in the union also gives every period's positions in it.
     codes = np.concatenate([mat.codes for mat in periods])
-    order = np.argsort(codes, kind="stable")
-    merged = codes[order]
-    first = np.empty(len(merged), dtype=bool)
-    first[:1] = True
-    np.not_equal(merged[1:], merged[:-1], out=first[1:])
-    universe = merged[first]
-    positions = np.empty(len(codes), dtype=np.int64)
-    positions[order] = np.cumsum(first) - 1
+    firsts, positions = distinct(codes)
+    universe = codes[firsts]
     slots = np.split(positions, np.cumsum([len(mat.codes) for mat in periods])[:-1])
     m = len(universe)
 

@@ -108,7 +108,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         source_id=args.source,
         expected_windows_per_day=args.expected_windows,
     )
-    store = HistoryStore(config.store_root)
     days: dict[dt.date, list] = {}  # in file order: the put lets the later window win
     try:
         for path in args.files:
@@ -123,6 +122,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
     retention = retention_for(config.detector.p, config.detector.stride)
     try:
+        store = HistoryStore(config.store_root)
         store.put_profile(profile)
         stored = {date: store.put_snapshot(args.source, *days[date]) for date in sorted(days)}
         pruned = store.prune(args.source, retention) if days else []

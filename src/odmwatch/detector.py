@@ -52,118 +52,109 @@ _STATUS_NAMES = ("no_signal", "signal", "below_eligibility", "missing_data")
 _DIRECTION_NAMES = (None, "upper", "lower")
 
 # Rows per string the writers build, so that a report is never held whole
-# in memory and one chunk's columns, rows and string add little to a
-# detect's peak memory.
+# in memory: only a window's tables of distinct texts and its rows' indices
+# into them span the window.
 _CHUNK_ROWS = 1024
 
 
 class ReportRows:
-    """One window's report rows, held as columns.
-
-    Per series kind (cells, then inbound, then outbound) it keeps the
-    engine's ``SeriesBlock`` restricted to the series whose status is not
-    ``no_signal``, with their origin and destination label ids (``None``
-    for the side a marginal does not have). ``len()`` is the row count.
-    Iterating yields one ``REPORT_COLUMNS`` tuple per row, in report order,
-    of plain Python values: ``None`` for a field the row's status does not
-    have, and the increment as the raw float (``inf`` included).
-    """
+    """One window's report rows, held as columns: ``block`` is the engine's
+    ``SeriesBlock`` restricted to the series whose status is not
+    ``no_signal``, in report order, ``kinds`` each kind with its first row
+    and the row after its last, and ``sides`` the rows' origin label ids,
+    then their destination label ids (-1 for a side a marginal lacks).
+    ``len()`` is the row count; iterating yields one ``REPORT_COLUMNS``
+    tuple per row of ``fields()``' plain values."""
 
     def __init__(
         self, evaluation: _engine.WindowEvaluation, labels: list[str], head: tuple[str, ...]
     ) -> None:
         self.labels = labels
         self.head = head  # source, date, start, end
-        self.kinds: list[tuple[str, np.ndarray | None, np.ndarray | None, _engine.SeriesBlock]] = []
-        for kind, codes, block in evaluation.blocks():
-            hits = np.flatnonzero(block.status != _engine.STATUS_NO_SIGNAL)
-            codes = codes[hits]
-            if kind == "cell":
-                origin, destination = np.divmod(codes, evaluation.n_areas)
-            elif kind == "inbound":
-                origin, destination = None, codes
-            else:
-                origin, destination = codes, None
-            self.kinds.append((kind, origin, destination, block.take(hits)))
+        kinds, (cells, inbound, outbound), blocks = zip(*evaluation.blocks())
+        hits = np.flatnonzero(np.concatenate([b.status for b in blocks]) != _engine.STATUS_NO_SIGNAL)
+        stacked = (None if v[0] is None else np.concatenate(v)[hits] for v in zip(*blocks))
+        self.block = _engine.SeriesBlock(*stacked)
+        origin, destination = np.divmod(cells, evaluation.n_areas)
+        absent = np.full(len(inbound) + len(outbound), -1)
+        origin = np.concatenate([origin, absent[: len(inbound)], outbound])
+        destination = np.concatenate([destination, inbound, absent[len(inbound) :]])
+        self.sides = np.concatenate([origin[hits], destination[hits]])
+        stops = np.searchsorted(hits, np.cumsum([len(block) for block in blocks])).tolist()
+        self.kinds = list(zip(kinds, [0, *stops], stops))
 
     def __len__(self) -> int:
-        return sum(len(block) for *_, block in self.kinds)
+        return len(self.block)
 
     def __iter__(self) -> Iterator[tuple]:
-        for kind, columns in self.chunks():
-            yield from zip(*(repeat(value) for value in (*self.head, kind)), *columns)
+        fields = self.fields()
+        for kind, span in self.spans():
+            yield from zip(*map(repeat, (*self.head, kind)), *(t[i[span]].tolist() for t, i in fields))
 
-    def chunks(
-        self, text: Callable[[str], str] | None = None, null: str | None = None
-    ) -> Iterator[tuple[str, list[list]]]:
-        """Per series kind, in chunks of at most ``_CHUNK_ROWS`` rows, the kind
-        and its rows' ``REPORT_COLUMNS`` from ``origin`` on, as lists.
+    def spans(self) -> Iterator[tuple[str, slice]]:
+        """Per kind, in chunks of at most ``_CHUNK_ROWS`` rows, the kind and
+        the chunk's slice of the window's rows."""
+        for kind, start, stop in self.kinds:
+            for first in range(start, stop, _CHUNK_ROWS):
+                yield kind, slice(first, min(first + _CHUNK_ROWS, stop))
+
+    def fields(self, text: Callable[[str], str] | None = None, null: str | None = None) -> list:
+        """Per ``REPORT_COLUMNS`` column from ``origin`` on, an object array
+        of its distinct values over the window's rows, then ``null``, and each
+        row's index in it.
 
         This is where a row's fields follow from its status: a missing-data
         row has no ``ma`` or ``sd``, and only a signal has a level, an
-        increment and bounds. Without ``text`` the values are plain Python
-        values, ``None`` for a field the row does not have and the increment
-        as the raw float (``inf`` included). With ``text``, each label,
-        status and direction is ``text(value)``, a field the row does not
-        have or a non-finite increment is ``null``, and a non-finite ``ma``,
-        ``sd`` or signal bound raises ``ValueError``: no report text holds one.
-        """
-        encode = (lambda value: value) if text is None else text
-        used: set[int] = set()
-        for _, origin, destination, _ in self.kinds:
-            for side in (origin, destination):
-                if side is not None:
-                    used.update(side.tolist())
-        names = np.empty(len(self.labels), dtype=object)  # a label no row uses stays None
-        for i in used:
-            names[i] = encode(self.labels[i])
-        statuses = np.array([encode(name) for name in _STATUS_NAMES], dtype=object)
-        directions = np.array(
-            [null if name is None else encode(name) for name in _DIRECTION_NAMES], dtype=object
-        )
-        for kind, origin, destination, block in self.kinds:
-            for start in range(0, len(block), _CHUNK_ROWS):
-                span = slice(start, start + _CHUNK_ROWS)
-                part = block.take(span)
-                nulls = [null] * len(part)
-                direction = level = inc = ma = sd = lower = upper = nulls
-                if part.ma is not None:  # missing data: no period to compare to
-                    signal = part.status == _engine.STATUS_SIGNAL
-                    if text is not None:
-                        numbers = (part.ma, part.sd, part.lower[signal], part.upper[signal])
-                        if not all(np.isfinite(values).all() for values in numbers):
-                            raise ValueError(
-                                f"window {self.head[2]}-{self.head[3]}: a {kind} row holds a "
-                                "non-finite ma, sd or bound, which a report cannot represent"
-                            )
-                        inc = _where(signal & np.isfinite(part.inc), part.inc, null)
-                    else:
-                        inc = _where(signal, part.inc, null)
-                    ma, sd = part.ma.tolist(), part.sd.tolist()
-                    direction = directions[part.direction].tolist()
-                    level, lower, upper = (
-                        _where(signal, values, null) for values in (part.level, part.lower, part.upper)
+        increment and bounds; a field the row does not have is ``null``.
+        Without ``text`` the values are plain Python values, the increment
+        the raw float (``inf`` included). With ``text``, each label, status
+        and direction is ``text(value)`` and each number ``str(value)``, once
+        per distinct value, a non-finite increment is ``null``, and a
+        non-finite ``ma``, ``sd`` or signal bound raises ``ValueError``."""
+        plain = text is None
+        text = (lambda value: value) if plain else text
+        name = lambda names: lambda code: text(names[code])
+        rows, n = self.block, len(self.block)
+        labels, sides = _distinct_texts(self.sides, self.sides >= 0, name(self.labels), null)
+        signal = rows.status == _engine.STATUS_SIGNAL
+        compared = rows.status != _engine.STATUS_MISSING_DATA
+        if rows.ma is None:  # missing data: no period to compare to
+            rows = _engine.SeriesBlock(rows.observed, rows.status, *[np.zeros(n, np.int8)] * 7)
+        elif not plain:
+            finite = np.isfinite(rows.ma) & np.isfinite(rows.sd)
+            finite &= ~signal | np.isfinite(rows.lower) & np.isfinite(rows.upper)
+            for kind, start, stop in self.kinds:
+                if not finite[start:stop].all():
+                    raise ValueError(
+                        f"window {self.head[2]}-{self.head[3]}: a {kind} row holds a "
+                        "non-finite ma, sd or bound, which a report cannot represent"
                     )
-                yield kind, [
-                    nulls if origin is None else names[origin[span]].tolist(),
-                    nulls if destination is None else names[destination[span]].tolist(),
-                    statuses[part.status].tolist(),
-                    direction,
-                    level,
-                    inc,
-                    part.observed.tolist(),
-                    ma,
-                    sd,
-                    lower,
-                    upper,
-                ]
+        inc = signal if plain else signal & np.isfinite(rows.inc)
+        numbers = (rows.level, rows.inc, rows.observed, rows.ma, rows.sd, rows.lower, rows.upper)
+        written = (signal, inc, None, compared, compared, signal, signal)
+        directed = rows.direction != _engine.DIR_NONE
+        return [
+            (labels, sides[:n]),
+            (labels, sides[n:]),
+            _distinct_texts(rows.status, None, name(_STATUS_NAMES), null),
+            _distinct_texts(rows.direction, directed, name(_DIRECTION_NAMES), null),
+            *(_distinct_texts(v, w, text if plain else str, null) for v, w in zip(numbers, written)),
+        ]
 
 
-def _where(written: np.ndarray, values: np.ndarray, null: str | None) -> list:
-    """``values`` as Python numbers where ``written``, else ``null``."""
-    column = np.full(len(values), null, dtype=object)
-    column[written] = values[written]
-    return column.tolist()
+def _distinct_texts(
+    values: np.ndarray, written: np.ndarray | None, form: Callable, null: str | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """An object array of ``form(value)`` for each distinct value of the
+    ``written`` rows (every row for ``None``), then ``null``, and each row's
+    index in it (``null``'s for a row not written). Floats are keyed by their
+    exact bits, so ``-0.0`` and ``0.0`` get their own texts."""
+    rows = np.arange(len(values)) if written is None else np.flatnonzero(written)
+    picked = values[rows]
+    firsts, inverse = _engine.distinct(picked.view(np.int64) if picked.dtype == np.float64 else picked)
+    index = np.full(len(values), len(firsts))
+    index[rows] = inverse
+    return np.array([*map(form, picked[firsts].tolist()), null], dtype=object), index
 
 
 class WindowReport(NamedTuple):
@@ -332,28 +323,36 @@ def _report_summary(report: DayReport) -> dict:
     return {"record": "summary", **report.summary()}
 
 
-def _write_rows(
-    report: DayReport, handle: IO[str], text: Callable[[str], str], null: str, template: str
-) -> None:
-    """Write every row of ``report``, one string per chunk of
-    ``ReportRows.chunks(text, null)``: each row fills ``template``, whose 16
-    ``%s`` take the ``REPORT_COLUMNS`` in order, after the head (source,
-    date, start, end, kind) is put in as ``text`` with ``%`` escaped."""
-    fields = ("%s",) * (len(REPORT_COLUMNS) - 5)
+def _write_rows(report: DayReport, handle: IO[str], text: Callable, null: str, seps: list) -> None:
+    """Write every row of ``report``, one string per chunk of ``spans()``: a
+    row is each ``REPORT_COLUMNS`` field after its separator in ``seps``, then
+    the last one. Separators go before the texts of ``fields(text, null)``
+    once a window; the head and a chunk's constant columns are joined once a
+    chunk, so each row joins only its other columns' texts."""
     for window in report.window_reports:
         rows = window.outcomes
-        for kind, columns in rows.chunks(text, null):
-            head = (text(value).replace("%", "%%") for value in (*rows.head, kind))
-            line = template % (*head, *fields)
-            handle.write("".join(map(line.__mod__, zip(*columns))))
+        fields = [(sep + t, i) for sep, (t, i) in zip(seps[5:], rows.fields(text, null))]
+        for kind, span in rows.spans():
+            count = span.stop - span.start
+            fixed = "".join(sep + text(value) for sep, value in zip(seps, (*rows.head, kind)))
+            pieces = []
+            for table, index in fields:
+                index = index[span]
+                if (index == index[0]).all():
+                    fixed += table[index[0]]
+                else:
+                    pieces += [repeat(fixed, count), table[index].tolist()]
+                    fixed = ""
+            pieces.append(repeat(fixed + seps[-1], count))
+            handle.write("".join(map("".join, zip(*pieces))))
 
 
 def write_day_report_jsonl(report: DayReport, handle: IO[str]) -> None:
     """Header line, one line per non-level0 outcome, one summary line."""
     dump = lambda obj: json.dumps(obj, separators=(",", ":"), allow_nan=False)
     handle.write(dump(_report_header(report)) + "\n")
-    row = "{" + ",".join(f'"{name}":%s' for name in REPORT_COLUMNS) + "}\n"
-    _write_rows(report, handle, json.dumps, "null", row)
+    separators = ['{"source":', *(f',"{name}":' for name in REPORT_COLUMNS[1:]), "}\n"]
+    _write_rows(report, handle, json.dumps, "null", separators)
     handle.write(dump(_report_summary(report)) + "\n")
 
 
@@ -364,7 +363,7 @@ def write_day_report_csv(report: DayReport, path: str | Path) -> None:
     path = Path(path)
     with atomic_open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(REPORT_COLUMNS) + "\n")
-        _write_rows(report, handle, csv_field, "", ",".join(["%s"] * len(REPORT_COLUMNS)) + "\n")
+        _write_rows(report, handle, csv_field, "", ["", *[","] * (len(REPORT_COLUMNS) - 1), "\n"])
     meta = {"header": _report_header(report), "summary": _report_summary(report)}
     with atomic_open(path.with_name(path.name + ".meta.json"), "w", encoding="utf-8") as handle:
         handle.write(json.dumps(meta, separators=(",", ":"), allow_nan=False) + "\n")

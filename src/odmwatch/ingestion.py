@@ -231,8 +231,7 @@ def window_csv(snapshot: SparseOdm) -> str:
     head = f"{w.date.isoformat()},{w.start.isoformat()},{w.end.isoformat()}"
     names = [csv_field(label) for label in snapshot.labels]
     pairs = map(divmod, snapshot.codes, repeat(max(1, len(names))))
-    rows = ((names[o], names[d], count) for (o, d), count in zip(pairs, snapshot.counts))
-    return "".join(map(f"{head},%s,%s,%d\n".__mod__, rows))
+    return "".join([f"{head},{names[o]},{names[d]},{n}\n" for (o, d), n in zip(pairs, snapshot.counts)])
 
 
 def write_snapshots_csv(snapshots: Sequence[SparseOdm], handle: IO[str]) -> None:

@@ -75,7 +75,10 @@ class HistoryStore:
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise StoreError(f"cannot create store root {root}: {exc.strerror or exc}") from exc
 
     # -- paths ---------------------------------------------------------
 
@@ -116,7 +119,6 @@ class HistoryStore:
 
     def put_profile(self, profile: SourceProfile) -> None:
         directory = self._source_dir(profile.source_id)
-        directory.mkdir(parents=True, exist_ok=True)
         payload = json.dumps(
             {
                 "source_id": profile.source_id,
@@ -130,8 +132,12 @@ class HistoryStore:
                 return  # already stored: no temp file, fsync or rename
         except OSError:
             pass
-        with atomic_open(path, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+            with atomic_open(path, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            raise StoreError(f"cannot store profile {path}: {exc.strerror or exc}") from exc
 
     def get_profile(self, source_id: str) -> SourceProfile | None:
         """The stored profile, or ``None`` when none was stored.

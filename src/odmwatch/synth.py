@@ -281,7 +281,10 @@ _ANOMALY_KEYS = {"kind", "origin", "destination", "date", "start", "end", "anoma
 
 
 def _known_keys(entry: dict, keys: set[str], what: str) -> None:
-    """Raise ``ValueError`` naming the first key of ``entry`` not in ``keys``."""
+    """Raise ``ValueError`` naming the first key of ``entry`` not in ``keys``,
+    or when ``entry`` is not a JSON object."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{what} is not a JSON object")
     unknown = sorted(set(entry) - keys)
     if unknown:
         raise ValueError(f"unknown {what} key {unknown[0]!r}")

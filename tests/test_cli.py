@@ -145,6 +145,20 @@ def test_ingest_onto_a_corrupt_stored_date_exits_one(tmp_path, capsys):
     assert stored.read_bytes() == b"{"
 
 
+@pytest.mark.parametrize("source_is_a_file", [False, True], ids=["root", "source"])
+def test_ingest_store_under_a_regular_file_exits_one(tmp_path, capsys, source_is_a_file):
+    # A root under a regular file fails in HistoryStore(); a regular file in
+    # place of the source's directory fails at the profile's put.
+    path = day_csv(tmp_path, MONDAY, per_day=1)
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    root = tmp_path if source_is_a_file else tmp_path / "afile" / "store"
+    target = tmp_path / "afile" if source_is_a_file else root
+    argv = ["ingest", str(path), "--source", "afile", "--store-root", str(root)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot ") and str(target) in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -390,6 +404,15 @@ def test_detect_sees_each_date_as_of_its_one_read(synthetic_store, tmp_path, mon
     stored = HistoryStore(synthetic_store).get_snapshot("mno", rewritten)
     assert dict(stored.cells()) == {("A", "B"): 999}
     assert main(argv + ["--output", str(tmp_path / "after.jsonl")]) == 3
+
+
+def test_detect_store_under_a_regular_file_exits_one(tmp_path, capsys):
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    root, out = tmp_path / "afile" / "store", tmp_path / "report.jsonl"
+    argv = ["detect", "--source", "mno", "--date", str(MONDAY), "--output", str(out)]
+    assert main(argv + ["--store-root", str(root)]) == 1
+    assert capsys.readouterr().err == f"error: cannot create store root {root}: Not a directory\n"
+    assert not out.exists()
 
 
 def test_detect_unwritable_output_exits_one(synthetic_store, tmp_path, capsys):

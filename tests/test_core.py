@@ -189,7 +189,7 @@ def test_public_api_resolves():
         "_report_rows",
         "_rows",
         "_INC",
-        # One row encoder (ReportRows.chunks) for both report formats.
+        # One row encoder (ReportRows.fields) for both report formats.
         "_jsonl_rows",
         "_json_numbers",
         "_STATUS_JSON",

@@ -11,6 +11,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -67,9 +68,32 @@ def wide_day():
     return DayReport(source_id="s", date=DATE, config=config, window_reports=[report])
 
 
+def shared_day():
+    """Rows that share their ma, sd and bounds across chunk boundaries: 20
+    spiking cells with one history, 20 cells below eligibility with another,
+    and each area's marginal equal to its one cell. 40 steady cells of 5 set
+    t to 5 and report nothing."""
+    config = DetectorConfig(th=3, p=2, quantile=0.5)
+
+    def cells(spike, low):
+        return {
+            **{(f"S{i}", f"T{i}"): spike for i in range(20)},
+            **{(f"L{i}", f"M{i}"): low for i in range(20)},
+            **{(f"N{i}", f"O{i}"): 5 for i in range(40)},
+        }
+
+    history = [
+        SparseOdm(TimeWindow.full_day(DATE - dt.timedelta(days=7 * k)), cells(v, 1))
+        for k, v in ((1, 10), (2, 12))
+    ]
+    report = run_window(SparseOdm(TimeWindow.full_day(DATE), cells(1000, 2)), history, config, "s")
+    return DayReport(source_id="s", date=DATE, config=config, window_reports=[report])
+
+
 @settings(max_examples=300, deadline=None)
 @given(day_reports(), st.sampled_from([1, 3, 4096]))
 @example(wide_day(), 1)
+@example(shared_day(), 3)
 def test_column_writers_match_the_row_writers(report, chunk_rows):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(detector, "_CHUNK_ROWS", chunk_rows)
@@ -126,5 +150,25 @@ def test_row_encoder_encodes_only_the_labels_its_rows_use():
         encoded.append(value)
         return json.dumps(value)
 
-    list(rows.chunks(text, "null"))
+    rows.fields(text, "null")
     assert sorted(value for value in encoded if value in rows.labels) == sorted(used)
+
+
+def test_distinct_texts_formats_each_value_once():
+    formed = []
+
+    def form(value):
+        formed.append(value)
+        return str(value)
+
+    values = np.array([0.1 + 0.2, 0.3, -0.0, 0.0, 0.3, 0.1 + 0.2, 7.5])
+    written = np.array([True] * 6 + [False])
+    table, index = detector._distinct_texts(values, written, form, "null")
+    texts = table[index].tolist()
+    assert texts == ["0.30000000000000004", "0.3", "-0.0", "0.0", "0.3", "0.30000000000000004", "null"]
+    assert len(formed) == 4  # once per distinct written value; 7.5 is not written
+    assert texts[0] is texts[5] and texts[1] is texts[4]
+
+    wide = np.array([2**64 + 1, 5, 2**64 + 1, 2**63], dtype=object)
+    table, index = detector._distinct_texts(wide, None, str, "null")
+    assert table[index].tolist() == ["18446744073709551617", "5", "18446744073709551617", "9223372036854775808"]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from odmwatch import AnomalySpec, SynthSpec, TimeWindow, generate
+from odmwatch.cli import main
 from odmwatch.synth import SynthSpecError, load_spec_file, sample_distinct_codes, write_generated
 
 MONDAY = dt.date(2021, 6, 7)
@@ -261,6 +262,17 @@ def test_spec_file_refuses_an_unknown_key(tmp_path, edit, key):
     with pytest.raises(SynthSpecError) as excinfo:
         load_spec_file(path)
     assert str(excinfo.value) == f"bad spec file {path}: unknown {key}"
+
+
+@pytest.mark.parametrize("top", ["[]", "1", '"x"', "null"])
+def test_spec_file_that_is_not_an_object_is_refused(tmp_path, capsys, top):
+    path = tmp_path / "spec.json"
+    path.write_text(top, encoding="utf-8")
+    with pytest.raises(SynthSpecError) as excinfo:
+        load_spec_file(path)
+    assert str(excinfo.value) == f"bad spec file {path}: spec is not a JSON object"
+    assert main(["generate", str(path), str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {excinfo.value}\n"
 
 
 def test_spec_file_anomaly_times_with_several_windows_a_day(tmp_path):
