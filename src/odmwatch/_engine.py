@@ -15,8 +15,9 @@ of the union, then one inbound marginal per destination, then one outbound
 marginal per origin. The period's counts are scattered into the first m
 slots and both diagonal-excluded marginal sums are written into the rest.
 Exact integer sums of the vector and its squares are accumulated period by
-period, one vector at a time, and the cells, inbound and outbound results
-are slices of one evaluation of the whole vector.
+period, one vector at a time, and the whole vector is evaluated at once: a
+window's result is one block of every series in report order, with each
+series' origin and destination area ids.
 
 The vectors are int64 while every value is at most ``isqrt((2^63 - 1) / n)``,
 so that the sums of squares fit; past that cap the same code runs again on
@@ -99,47 +100,52 @@ class SeriesBlock(NamedTuple):
         return SeriesBlock(*(None if v is None else v[index] for v in self))
 
 
+SERIES_KINDS = ("cell", "inbound", "outbound")  # in report order
+
+
 class WindowEvaluation(NamedTuple):
-    n_areas: int
+    """One window's evaluation. ``series`` holds every monitored series in
+    report order: the cells in ``cell_codes`` order, then one inbound
+    marginal per destination, then one outbound marginal per origin, each
+    kind ending at its row in ``stops``. ``origin`` and ``destination`` are
+    each series' area ids, -1 for the side a marginal lacks."""
+
     available: int
     t: float
     eligible_count: int
     degenerate: bool
     cell_codes: np.ndarray
-    cells: SeriesBlock
-    inbound_areas: np.ndarray
-    inbound: SeriesBlock
-    outbound_areas: np.ndarray
-    outbound: SeriesBlock
+    series: SeriesBlock
+    origin: np.ndarray
+    destination: np.ndarray
+    stops: tuple[int, int, int]
     timings: dict[str, float]
 
     def blocks(self) -> list[tuple[str, np.ndarray, SeriesBlock]]:
-        return [
-            ("cell", self.cell_codes, self.cells),
-            ("inbound", self.inbound_areas, self.inbound),
-            ("outbound", self.outbound_areas, self.outbound),
-        ]
+        """Per kind, its name, its cell codes or area ids, and its series."""
+        ids = (self.cell_codes, self.destination, self.origin)
+        spans = map(slice, (0, *self.stops), self.stops)
+        return [(kind, i[span], self.series.take(span)) for kind, i, span in zip(SERIES_KINDS, ids, spans)]
 
     def summary(self) -> dict[str, int]:
         """Series counts: all, by status, by signal direction, by signal level."""
-        blocks = [block for _, _, block in self.blocks()]
-        scored = [block for block in blocks if block.direction is not None]
-        none = [np.zeros(0, dtype=np.int8)]
-        status = np.bincount(np.concatenate([b.status for b in blocks]), minlength=4)
-        direction = np.bincount(np.concatenate(none + [b.direction for b in scored]), minlength=3)
-        signal_levels = [b.level[b.status == STATUS_SIGNAL] for b in scored]
-        level = np.bincount(np.concatenate(none + signal_levels), minlength=4)
+        series = self.series
+        scored = series.direction is not None  # a missing-data block has none
+        status = np.bincount(series.status, minlength=4).tolist()
+        direction = np.bincount(series.direction if scored else [], minlength=3).tolist()
+        signal = series.level[series.status == STATUS_SIGNAL] if scored else []
+        level = np.bincount(signal, minlength=4).tolist()
         return {
-            "keys": sum(map(len, blocks)),
-            "no_signal": int(status[STATUS_NO_SIGNAL]),
-            "signal": int(status[STATUS_SIGNAL]),
-            "below_eligibility": int(status[STATUS_BELOW_ELIGIBILITY]),
-            "missing_data": int(status[STATUS_MISSING_DATA]),
-            "upper": int(direction[DIR_UPPER]),
-            "lower": int(direction[DIR_LOWER]),
-            "level1": int(level[1]),
-            "level2": int(level[2]),
-            "level3": int(level[3]),
+            "keys": len(series),
+            "no_signal": status[STATUS_NO_SIGNAL],
+            "signal": status[STATUS_SIGNAL],
+            "below_eligibility": status[STATUS_BELOW_ELIGIBILITY],
+            "missing_data": status[STATUS_MISSING_DATA],
+            "upper": direction[DIR_UPPER],
+            "lower": direction[DIR_LOWER],
+            "level1": level[1],
+            "level2": level[2],
+            "level3": level[3],
         }
 
 
@@ -172,24 +178,51 @@ def _check_cap(values: np.ndarray, cap: float) -> None:
         raise _Wide
 
 
+def _differs(sorted_keys: np.ndarray) -> np.ndarray:
+    """A mask of the keys that differ from the key before; the first is set."""
+    first = np.empty(len(sorted_keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    return first
+
+
 def distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The position in ``keys`` of the first of each distinct key, in key
     order, and each key's index among them: a stable argsort and a mask of
     its neighbours that differ."""
     order = np.argsort(keys, kind="stable")
-    merged = keys[order]
-    first = np.empty(len(keys), dtype=bool)
-    first[:1] = True
-    np.not_equal(merged[1:], merged[:-1], out=first[1:])
+    first = _differs(keys[order])
     inverse = np.empty(len(keys), dtype=np.int64)
     inverse[order] = np.cumsum(first) - 1
     return order[first], inverse
 
 
-def _group_starts(sorted_ids: np.ndarray) -> np.ndarray:
-    if len(sorted_ids) == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
+def _classify(observed, ma, sd, t_value: float, th: int, mode: str) -> SeriesBlock:
+    """Every series' bounds, status, direction, increment and level, from
+    its observed value and its history's ``ma`` and ``sd``."""
+    upper = ma + np.maximum(t_value, 3.0 * sd)
+    low = np.minimum(ma - t_value, ma - 3.0 * sd)
+    lower = (np.minimum if mode == "paper_literal" else np.maximum)(low, 0.0)
+    eligible = ma >= th
+    up_sig = eligible & (observed > upper)
+    lo_sig = eligible & (observed < lower)
+    status = np.zeros(len(observed), dtype=np.int8)
+    status[~eligible] = STATUS_BELOW_ELIGIBILITY
+    status[up_sig | lo_sig] = STATUS_SIGNAL
+    direction = np.zeros(len(observed), dtype=np.int8)
+    direction[up_sig] = DIR_UPPER
+    direction[lo_sig] = DIR_LOWER
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inc = (observed.astype(np.float64) / ma - 1.0) * 100.0
+    zero_ma = ma == 0.0
+    if zero_ma.any():
+        inc[zero_ma & (observed > 0)] = math.inf
+        inc[zero_ma & (observed == 0)] = 0.0
+    magnitude = np.abs(inc)
+    level = np.ones(len(observed), dtype=np.int8)
+    level += (magnitude >= 50.0).astype(np.int8)
+    level += (magnitude >= 100.0).astype(np.int8)
+    return SeriesBlock(observed, status, ma, sd, direction, level, inc, lower, upper)
 
 
 def evaluate_window(
@@ -231,16 +264,13 @@ def _evaluate(current, history, n_areas, th, q, mode, dtype: type) -> WindowEval
     slots = np.split(positions, np.cumsum([len(mat.codes) for mat in periods])[:-1])
     m = len(universe)
 
-    u_origin = universe // a
-    u_dest = universe - u_origin * a
-    offdiag = u_origin != u_dest
-
     # Outbound series group by origin (the code order); inbound series need
     # one permutation by destination, reused for every period.
-    out_starts = _group_starts(u_origin)
-    dest_perm = np.argsort(u_dest, kind="stable")
-    dest_sorted = u_dest[dest_perm]
-    in_starts = _group_starts(dest_sorted)
+    origin, destination = np.divmod(universe, a)
+    offdiag = origin != destination
+    out_starts = np.flatnonzero(_differs(origin))
+    dest_perm = np.argsort(destination, kind="stable")
+    in_starts = np.flatnonzero(_differs(destination[dest_perm]))
     inbound = slice(m, m + len(in_starts))
     outbound = slice(inbound.stop, inbound.stop + len(out_starts))
 
@@ -276,58 +306,34 @@ def _evaluate(current, history, n_areas, th, q, mode, dtype: type) -> WindowEval
     t1 = time.perf_counter()
     eligible_vals = current.values[current.values >= th]
     n_eligible = len(eligible_vals)
+    t_value = float(th)  # when no cell reached th: a degenerate window
     if n_eligible:
         rank = nearest_rank(q, n_eligible)
         t_value = float(np.partition(eligible_vals, rank - 1)[rank - 1])
-        degenerate = False
-    else:
-        t_value = float(th)
-        degenerate = True
     timings["threshold"] = time.perf_counter() - t1
 
     t2 = time.perf_counter()
     if n:
-        upper = ma + np.maximum(t_value, 3.0 * sd)
-        low = np.minimum(ma - t_value, ma - 3.0 * sd)
-        if mode == "paper_literal":
-            lower = np.minimum(low, 0.0)
-        else:
-            lower = np.maximum(low, 0.0)
-        eligible = ma >= th
-        up_sig = eligible & (observed > upper)
-        lo_sig = eligible & (observed < lower)
-        status = np.zeros(len(observed), dtype=np.int8)
-        status[~eligible] = STATUS_BELOW_ELIGIBILITY
-        status[up_sig | lo_sig] = STATUS_SIGNAL
-        direction = np.zeros(len(observed), dtype=np.int8)
-        direction[up_sig] = DIR_UPPER
-        direction[lo_sig] = DIR_LOWER
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inc = (observed.astype(np.float64) / ma - 1.0) * 100.0
-        zero_ma = ma == 0.0
-        if zero_ma.any():
-            inc[zero_ma & (observed > 0)] = math.inf
-            inc[zero_ma & (observed == 0)] = 0.0
-        magnitude = np.abs(inc)
-        level = np.ones(len(observed), dtype=np.int8)
-        level += (magnitude >= 50.0).astype(np.int8)
-        level += (magnitude >= 100.0).astype(np.int8)
-        every = SeriesBlock(observed, status, ma, sd, direction, level, inc, lower, upper)
+        every = _classify(observed, ma, sd, t_value, th, mode)
     else:
         every = SeriesBlock(observed, np.full(len(observed), STATUS_MISSING_DATA, dtype=np.int8))
     timings["detect"] = time.perf_counter() - t2
 
+    # Each series' area ids in report order, -1 for the side a marginal lacks, built
+    # once _classify has freed its temporaries, so as not to raise the peak memory.
+    in_areas, out_areas = destination[dest_perm[in_starts]], origin[out_starts]
+    origin = np.concatenate([origin, np.full(len(in_areas), -1), out_areas])
+    destination = np.concatenate([destination, in_areas, np.full(len(out_areas), -1)])
     return WindowEvaluation(
-        n_areas=n_areas,
         available=n,
         t=t_value,
         eligible_count=n_eligible,
-        degenerate=degenerate,
+        degenerate=n_eligible == 0,
         cell_codes=universe,
-        cells=every.take(slice(0, m)),
-        inbound_areas=dest_sorted[in_starts],
-        inbound=every.take(inbound),
-        outbound_areas=u_origin[out_starts],
-        outbound=every.take(outbound),
+        series=every,
+        origin=origin,
+        destination=destination,
+        stops=(m, inbound.stop, outbound.stop),
         timings=timings,
     )
+

@@ -16,13 +16,7 @@ from pathlib import Path
 from typing import NamedTuple, NoReturn
 
 from .core import BOUNDS_MODES, STRIDE_DAYS, DetectorConfig
-from .ingestion import (
-    OdmIntegrityError,
-    OdmParseError,
-    SourceProfile,
-    parse_file,
-    validate_day,
-)
+from .ingestion import SourceProfile, parse_file, validate_day
 from .store import HistoryStore, StoreError, atomic_open, retention_for
 
 # Each command imports the modules only it runs (detector, synth, bench)
@@ -109,13 +103,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         expected_windows_per_day=args.expected_windows,
     )
     days: dict[dt.date, list] = {}  # in file order: the put lets the later window win
-    try:
+    try:  # a malformed file raises a ValueError naming it, which main reports
         for path in args.files:
             for snapshot in parse_file(path):
                 days.setdefault(snapshot.window.date, []).append(snapshot)
-    except (OdmParseError, OdmIntegrityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {path}: {getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -154,7 +145,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         raise ValueError(f"bad --date {args.date!r}: {exc}") from None
     try:
         report = detect_day(HistoryStore(config.store_root), args.source, date, config.detector)
-    except (StoreError, OdmParseError, OdmIntegrityError) as exc:
+    except StoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

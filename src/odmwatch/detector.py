@@ -59,10 +59,10 @@ _CHUNK_ROWS = 1024
 
 class ReportRows:
     """One window's report rows, held as columns: ``block`` is the engine's
-    ``SeriesBlock`` restricted to the series whose status is not
-    ``no_signal``, in report order, ``kinds`` each kind with its first row
-    and the row after its last, and ``sides`` the rows' origin label ids,
-    then their destination label ids (-1 for a side a marginal lacks).
+    ``series`` at the rows whose status is not ``no_signal``, in report
+    order, ``kinds`` each kind with its first row and the row after its
+    last, and ``sides`` the rows' origin area ids, then their destination
+    area ids (-1 for a side a marginal lacks), as indices into ``labels``.
     ``len()`` is the row count; iterating yields one ``REPORT_COLUMNS``
     tuple per row of ``fields()``' plain values."""
 
@@ -71,17 +71,11 @@ class ReportRows:
     ) -> None:
         self.labels = labels
         self.head = head  # source, date, start, end
-        kinds, (cells, inbound, outbound), blocks = zip(*evaluation.blocks())
-        hits = np.flatnonzero(np.concatenate([b.status for b in blocks]) != _engine.STATUS_NO_SIGNAL)
-        stacked = (None if v[0] is None else np.concatenate(v)[hits] for v in zip(*blocks))
-        self.block = _engine.SeriesBlock(*stacked)
-        origin, destination = np.divmod(cells, evaluation.n_areas)
-        absent = np.full(len(inbound) + len(outbound), -1)
-        origin = np.concatenate([origin, absent[: len(inbound)], outbound])
-        destination = np.concatenate([destination, inbound, absent[len(inbound) :]])
-        self.sides = np.concatenate([origin[hits], destination[hits]])
-        stops = np.searchsorted(hits, np.cumsum([len(block) for block in blocks])).tolist()
-        self.kinds = list(zip(kinds, [0, *stops], stops))
+        hits = np.flatnonzero(evaluation.series.status != _engine.STATUS_NO_SIGNAL)
+        self.block = evaluation.series.take(hits)
+        self.sides = np.concatenate([evaluation.origin[hits], evaluation.destination[hits]])
+        stops = np.searchsorted(hits, evaluation.stops).tolist()
+        self.kinds = list(zip(_engine.SERIES_KINDS, [0, *stops], stops))
 
     def __len__(self) -> int:
         return len(self.block)

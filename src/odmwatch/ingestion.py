@@ -12,6 +12,7 @@ import datetime as dt
 import io
 import json
 import re
+import zlib  # for a corrupt .gz; the store's tempfile imports it anyway
 from itertools import repeat
 from pathlib import Path
 from types import SimpleNamespace
@@ -187,10 +188,9 @@ def _open_text(path: Path) -> IO[str]:
     return open(path, "r", encoding="utf-8", newline="")
 
 
-def iter_csv_rows(handle: IO[str], source: str) -> Iterator[tuple[int, list[str]]]:
-    """(line_no, row) for each row of an open CSV stream, after validating
-    the header."""
-    reader = csv.reader(handle)
+def iter_csv_rows(reader: Iterator[list[str]], source: str) -> Iterator[tuple[int, list[str]]]:
+    """(line_no, row) for each row of a ``csv.reader``, after validating the
+    header."""
     header = next(reader, None)
     if header is None:
         return iter(())
@@ -205,12 +205,19 @@ def parse_file(path: str | Path) -> list[SparseOdm]:
     """Parse one CSV (or .csv.gz) file into snapshots, one per window.
 
     An empty file yields an empty list. Malformed rows raise
-    :class:`OdmParseError` naming the line; duplicate cells raise
-    :class:`OdmIntegrityError`.
+    :class:`OdmParseError` naming the line, as do a field longer than the
+    ``csv`` module's limit and a truncated or corrupt ``.gz`` stream;
+    duplicate cells raise :class:`OdmIntegrityError`.
     """
     path = Path(path)
     with _open_text(path) as handle:
-        return parse_rows(iter_csv_rows(handle, path.name), path.name)
+        reader = csv.reader(handle)
+        try:
+            return parse_rows(iter_csv_rows(reader, path.name), path.name)
+        except csv.Error as exc:
+            raise OdmParseError(path.name, reader.line_num, str(exc)) from None
+        except (EOFError, zlib.error) as exc:  # a damaged .gz: the line it cut off
+            raise OdmParseError(path.name, reader.line_num + 1, str(exc)) from None
 
 
 # csv.writer returns what its file's ``write`` returns: here, the line itself.

@@ -60,7 +60,7 @@ def evaluate_cell(history, observed=0, t=None, th=20, mode="clamped"):
         mode,
     )
     assert evaluation.cell_codes[:1].tolist() == [1], "the cell is zero in every period"
-    block = evaluation.cells
+    block = evaluation.series  # the cells come first
 
     def field(name, cast=float):
         values = getattr(block, name)

@@ -1,7 +1,9 @@
 import argparse
 import contextlib
 import datetime as dt
+import gzip
 import json
+import re
 
 import numpy as np
 import pytest
@@ -54,6 +56,42 @@ def test_ingest_malformed_row_exits_one(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "bad.csv:2" in err
+
+
+def ingest_error(tmp_path, capsys, path):
+    """The stderr of an ``ingest`` of ``path`` that must exit 1 and store nothing."""
+    store_root = tmp_path / "store"
+    assert main(["ingest", str(path), "--source", "mno", "--store-root", str(store_root)]) == 1
+    assert HistoryStore(store_root).dates_for("mno") == []
+    return capsys.readouterr().err
+
+
+def test_ingest_field_beyond_csv_limit_exits_one(tmp_path, capsys):
+    path = tmp_path / "wide.csv"
+    row = "2021-06-07,00:00:00,23:59:59,{},B,5\n"
+    path.write_text(HEADER + row.format("A") + row.format("X" * 200_000), encoding="utf-8")
+    err = ingest_error(tmp_path, capsys, path)
+    assert err == "error: wide.csv:3: field larger than field limit (131072)\n"
+
+
+def test_ingest_truncated_gzip_exits_one(tmp_path, capsys):
+    rows = "".join(f"2021-06-07,00:00:00,23:59:59,A{i},B,{i + 1}\n" for i in range(2000))
+    data = gzip.compress((HEADER + rows).encode("utf-8"), mtime=0)
+    path = tmp_path / "cut.csv.gz"
+    path.write_bytes(data[: len(data) // 2])
+    err = ingest_error(tmp_path, capsys, path)
+    reason = "Compressed file ended before the end-of-stream marker was reached"
+    assert re.fullmatch(rf"error: cut\.csv\.gz:\d+: {reason}\n", err), err
+
+
+def test_ingest_corrupt_gzip_exits_one(tmp_path, capsys):
+    payload = HEADER + "2021-06-07,00:00:00,23:59:59,A,B,5\n"
+    data = gzip.compress(payload.encode("utf-8"), mtime=0)
+    path = tmp_path / "corrupt.csv.gz"
+    # Block type 3 is reserved: the deflate stream's first block is invalid.
+    path.write_bytes(data[:10] + b"\x07" + data[11:])
+    err = ingest_error(tmp_path, capsys, path)
+    assert err == "error: corrupt.csv.gz:1: Error -3 while decompressing data: invalid block type\n"
 
 
 def test_ingest_carriage_return_label_round_trips(tmp_path):
@@ -359,8 +397,8 @@ def test_non_finite_report_value_fails_detect(synthetic_store, tmp_path, capsys,
 
     def evaluate_window_nan_ma(*args, **kwargs):
         evaluation = evaluate_window(*args, **kwargs)
-        reported = np.flatnonzero(evaluation.cells.status != _engine.STATUS_NO_SIGNAL)
-        evaluation.cells.ma[reported[0]] = np.nan
+        reported = np.flatnonzero(evaluation.series.status != _engine.STATUS_NO_SIGNAL)
+        evaluation.series.ma[reported[0]] = np.nan
         return evaluation
 
     monkeypatch.setattr(_engine, "evaluate_window", evaluate_window_nan_ma)

@@ -171,5 +171,6 @@ def test_relative_increment():
     # cell is on the diagonal.
     diagonal = Columnar(np.array([0], dtype=np.int64), np.array([7], dtype=np.int64))
     evaluation = evaluate_window(diagonal, [diagonal], 1, 0, 0.75, "clamped")
-    assert evaluation.outbound.inc.tolist() == [0.0]
-    assert evaluation.inbound.inc.tolist() == [0.0]
+    blocks = {kind: block for kind, _, block in evaluation.blocks()}
+    assert blocks["outbound"].inc.tolist() == [0.0]
+    assert blocks["inbound"].inc.tolist() == [0.0]
