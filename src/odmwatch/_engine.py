@@ -78,9 +78,7 @@ def columnar_from_entries(matrix, ranks: np.ndarray, n_areas: int) -> Columnar:
     return Columnar(ranks[origins] * n_areas + ranks[dests], counts)
 
 
-class SeriesBlock(NamedTuple):
-    """Per-series evaluation results for one group of monitored series."""
-
+class _SeriesBlock(NamedTuple):
     observed: np.ndarray
     status: np.ndarray
     ma: np.ndarray | None = None
@@ -91,9 +89,21 @@ class SeriesBlock(NamedTuple):
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
 
+
+class SeriesBlock(_SeriesBlock):
+    """Per-series evaluation results for one group of monitored series."""
+
+    __slots__ = ()
+
     def __len__(self) -> int:
         """The number of series, not of fields."""
         return len(self.observed)
+
+    @classmethod
+    def _make(cls, iterable) -> SeriesBlock:
+        """As ``NamedTuple._make``, which ``_replace`` calls, but without its
+        check of ``len()``: that counts series here, not fields."""
+        return cls(*iterable)
 
     def take(self, index) -> SeriesBlock:
         """The block at ``index`` (a slice or an index array) of every array."""

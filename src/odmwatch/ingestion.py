@@ -11,9 +11,11 @@ import csv
 import datetime as dt
 import io
 import json
+import operator
 import re
 import zlib  # for a corrupt .gz; the store's tempfile imports it anyway
-from itertools import repeat
+from array import array
+from itertools import compress, islice, repeat
 from pathlib import Path
 from types import SimpleNamespace
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
@@ -21,6 +23,9 @@ from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 from .core import MAX_COUNT, SparseOdm, TimeWindow
 
 CSV_COLUMNS = ("date", "start", "end", "origin", "destination", "count")
+# Rows per string that ``window_csv`` renders: the store hashes a date's CSV
+# a string at a time, so none holds more than this many rows' text.
+CSV_CHUNK_ROWS = 4096
 
 
 class OdmParseError(ValueError):
@@ -120,64 +125,107 @@ def parse_rows(rows: Iterable[tuple[int, Sequence[str]]], source: str) -> list[S
     same one. Every non-empty row is still checked, in this order: field
     count, date, start, end, count, empty label, start < end, duplicate cell.
     Malformed rows raise :class:`OdmParseError`; a duplicate (origin,
-    destination) within one window raises :class:`OdmIntegrityError`.
+    destination) within one window raises :class:`OdmIntegrityError`, and the
+    first one in file order wins over any later error.
     Empty rows are skipped and zero-count rows dropped (absent and zero are
     equivalent).
     """
-    # Each triple maps to its window's slot (window, first line per cell,
-    # first-seen label ids, origin ids, destination ids, counts), shared by
+    # Each triple maps to its window's slot (window, first-seen label ids, and
+    # per row its origin id, destination id, count and line), shared by
     # triples of one window; None marks a start that does not precede its end.
+    # No row's text is kept: duplicates are found from the ids once read.
     slots: dict[tuple[str, str, str], tuple | None] = {}
     by_window: dict[TimeWindow, tuple] = {}
     n_fields = len(CSV_COLUMNS)
-    for line_no, row in rows:
-        if not row:
-            continue
-        if len(row) != n_fields:
-            raise OdmParseError(
-                source, line_no, f"expected {n_fields} fields, got {len(row)}"
-            )
-        date_s, start_s, end_s, origin, destination, count_s = map(str.strip, row)
-        try:
-            triple = (date_s, start_s, end_s)
-            if triple in slots:
-                slot = slots[triple]
-            else:
-                date = _parse_date(date_s)
-                start = _parse_time(start_s)
-                end = _parse_time(end_s)
-                slot = None
-                if start < end:
-                    window = TimeWindow(date, start, end)
-                    slot = by_window.setdefault(window, (window, {}, {}, [], [], []))
-                slots[triple] = slot
-            count = _parse_count(count_s)
-            if not origin or not destination:
-                raise ValueError("empty area label")
-            if slot is None:
-                raise ValueError(f"window start {start_s} must precede end {end_s}")
-        except ValueError as exc:
-            raise OdmParseError(source, line_no, str(exc)) from None
-        window, lines, ids, origins, dests, counts = slot
-        pair = (origin, destination)
-        if pair in lines:
-            raise OdmIntegrityError(
-                source,
-                line_no,
-                f"duplicate cell {pair} in window {window.date} "
-                f"{window.times_key()} (first seen at line {lines[pair]})",
-            )
-        lines[pair] = line_no
-        if count > 0:
+    try:
+        for line_no, row in rows:
+            if not row:
+                continue
+            try:
+                if len(row) != n_fields:
+                    raise ValueError(f"expected {n_fields} fields, got {len(row)}")
+                date_s, start_s, end_s, origin, destination, count_s = map(str.strip, row)
+                triple = (date_s, start_s, end_s)
+                if triple in slots:
+                    slot = slots[triple]
+                else:
+                    date = _parse_date(date_s)
+                    start = _parse_time(start_s)
+                    end = _parse_time(end_s)
+                    slot = None
+                    if start < end:
+                        window = TimeWindow(date, start, end)
+                        columns = ([], [], array("q"), array("q"))
+                        slot = by_window.setdefault(window, (window, {}, *columns))
+                    slots[triple] = slot
+                count = _parse_count(count_s)
+                if not origin or not destination:
+                    raise ValueError("empty area label")
+                if slot is None:
+                    raise ValueError(f"window start {start_s} must precede end {end_s}")
+            except ValueError as exc:
+                raise OdmParseError(source, line_no, str(exc)) from None
+            _, ids, origins, dests, counts, lines = slot
             origins.append(ids.setdefault(origin, len(ids)))
             dests.append(ids.setdefault(destination, len(ids)))
             counts.append(count)
-    return [
-        SparseOdm.from_ids(window, list(ids), origins, dests, counts)
-        for window, _, ids, origins, dests, counts in sorted(
-            by_window.values(), key=lambda slot: slot[0]
-        )
-    ]
+            lines.append(line_no)
+    except (OdmParseError, csv.Error, EOFError, zlib.error):  # parse_file's reader errors too
+        _check_duplicates(source, by_window.values())  # a duplicate read before wins
+        raise
+    _check_duplicates(source, by_window.values())
+    snapshots = []
+    for window in sorted(by_window):
+        _, ids, origins, dests, counts, _ = by_window[window]
+        if 0 in counts:  # zero-count rows were kept for the duplicate check only
+            origins, dests, counts = [
+                array("q", compress(column, counts)) for column in (origins, dests, counts)
+            ]
+        snapshots.append(SparseOdm.from_ids(window, list(ids), origins, dests, counts))
+    return snapshots
+
+
+def _check_duplicates(source: str, slots: Iterable[tuple]) -> None:
+    """Raise :class:`OdmIntegrityError` for the earliest row, in file order,
+    that repeats the cell of an earlier row of its window, if any does."""
+    found = []
+    for window, ids, origins, dests, _, lines in slots:
+        rows = _first_repeat(ids, origins, dests)
+        if rows is not None:
+            row, earlier = rows
+            names = list(ids)
+            pair = (names[origins[row]], names[dests[row]])
+            found.append((lines[row], lines[earlier], pair, window))
+    if found:
+        line_no, first_line, pair, window = min(found)  # line numbers differ across windows
+        raise OdmIntegrityError(
+            source,
+            line_no,
+            f"duplicate cell {pair} in window {window.date} "
+            f"{window.times_key()} (first seen at line {first_line})",
+        ) from None
+
+
+def _first_repeat(ids: dict[str, int], origins, dests) -> tuple[int, int] | None:
+    """(row, earlier row) for a window's first row, in file order, whose cell
+    an earlier row holds, or None."""
+    rank = [0] * len(ids)
+    for r, label in enumerate(sorted(ids)):
+        rank[ids[label]] = r
+    # Codes over label ranks, so rows in label order give increasing ones.
+    codes = array("q", map(
+        operator.add,
+        map(operator.mul, map(rank.__getitem__, origins), repeat(len(rank))),
+        map(rank.__getitem__, dests),
+    ))
+    if all(map(operator.lt, codes, islice(codes, 1, None))) or len(set(codes)) == len(codes):
+        return None  # no code repeats: the scan below would find none
+    first: dict[int, int] = {}
+    for row, code in enumerate(codes):
+        if code in first:
+            return row, first[code]
+        first[code] = row
+    return None
 
 
 def _open_text(path: Path) -> IO[str]:
@@ -231,22 +279,34 @@ def csv_field(text: str) -> str:
     return _CSV_LINE.writerow((text,))[:-1] if text else ""
 
 
-def window_csv(snapshot: SparseOdm) -> str:
+def window_csv(snapshot: SparseOdm) -> Iterator[str]:
     """A snapshot's rows in the input format, one line per cell in code
-    (origin, destination) order, as ``csv.writer`` writes them."""
+    (origin, destination) order, as ``csv.writer`` writes them: one string
+    per ``CSV_CHUNK_ROWS`` rows, the last one shorter."""
     w = snapshot.window
     head = f"{w.date.isoformat()},{w.start.isoformat()},{w.end.isoformat()}"
     names = [csv_field(label) for label in snapshot.labels]
-    pairs = map(divmod, snapshot.codes, repeat(max(1, len(names))))
-    return "".join([f"{head},{names[o]},{names[d]},{n}\n" for (o, d), n in zip(pairs, snapshot.counts)])
+    n = max(1, len(names))
+    for start in range(0, len(snapshot), CSV_CHUNK_ROWS):
+        chunk = slice(start, start + CSV_CHUNK_ROWS)
+        pairs = map(divmod, snapshot.codes[chunk], repeat(n))
+        counts = snapshot.counts[chunk]
+        yield "".join([f"{head},{names[o]},{names[d]},{c}\n" for (o, d), c in zip(pairs, counts)])
+
+
+def snapshots_csv(snapshots: Sequence[SparseOdm]) -> Iterator[str]:
+    """Snapshots as one input-format CSV, in window order: the header line,
+    then each window's strings from ``window_csv``."""
+    yield ",".join(CSV_COLUMNS) + "\n"
+    for snapshot in sorted(snapshots, key=lambda m: m.window):
+        yield from window_csv(snapshot)
 
 
 def write_snapshots_csv(snapshots: Sequence[SparseOdm], handle: IO[str]) -> None:
-    """Write snapshots as one input-format CSV, in window order. Only
-    ``handle.write`` is called, once for the header and once per window."""
-    handle.write(",".join(CSV_COLUMNS) + "\n")
-    for snapshot in sorted(snapshots, key=lambda m: m.window):
-        handle.write(window_csv(snapshot))
+    """Write ``snapshots_csv(snapshots)``. Only ``handle.write`` is called,
+    once per string."""
+    for text in snapshots_csv(snapshots):
+        handle.write(text)
 
 
 def canonical_windows(date: dt.date, per_day: int) -> list[TimeWindow]:

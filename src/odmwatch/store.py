@@ -37,11 +37,10 @@ import sys
 from array import array
 from contextlib import contextmanager
 from pathlib import Path
-from types import SimpleNamespace
 from typing import IO, Callable, Iterator, Sequence
 
 from .core import STRIDE_DAYS, SparseOdm, TimeWindow
-from .ingestion import SourceProfile, write_snapshots_csv
+from .ingestion import SourceProfile, snapshots_csv
 
 FORMAT = 1
 _DATE_FILE = re.compile(r"^(\d{4}-\d{2}-\d{2})\.odm$")
@@ -282,7 +281,8 @@ class HistoryStore:
 def _encode_day(date: dt.date, day: Sequence[SparseOdm]) -> bytes:
     """The bytes of a date file holding ``day``, in (start, end) order."""
     csv_sha256 = hashlib.sha256()
-    write_snapshots_csv(day, SimpleNamespace(write=lambda text: csv_sha256.update(text.encode())))
+    for text in snapshots_csv(day):
+        csv_sha256.update(text.encode())
     payload = _little_endian(b"".join(a for m in day for a in (m.codes, m.counts)))
     header = json.dumps(
         {

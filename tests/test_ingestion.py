@@ -1,6 +1,7 @@
 import datetime as dt
 import gzip
 import io
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +16,7 @@ from odmwatch import (
     parse_file,
     validate_day,
 )
-from odmwatch import ingestion
+from odmwatch import ingestion, store
 from odmwatch.ingestion import canonical_windows, write_snapshots_csv
 
 HEADER = "date,start,end,origin,destination,count\n"
@@ -315,6 +316,134 @@ def test_later_row_of_seen_times_names_its_line(tmp_path, row, message):
         parse_file(path)
     assert err.value.line_no == 4
     assert message in str(err.value)
+
+
+def test_duplicate_of_a_zero_count_row(tmp_path):
+    path = write(
+        tmp_path,
+        HEADER
+        + "2021-06-07,00:00:00,23:59:59,A,B,0\n"
+        + "2021-06-07,00:00:00,23:59:59,B,C,5\n"
+        + "2021-06-07,00:00:00,23:59:59,A,B,4\n"
+        + "2021-06-07,00:00:00,23:59:59,A,B,6\n",
+    )
+    with pytest.raises(OdmIntegrityError) as err:
+        parse_file(path)
+    assert err.value.line_no == 4
+    assert "duplicate cell ('A', 'B') in window 2021-06-07 00:00:00-23:59:59" in str(err.value)
+    assert "first seen at line 2" in str(err.value)
+
+
+LATER_MALFORMED_ROWS = [
+    "2021-06-07,00:00:00,23:59:59,C,D,x",
+    "2021-06-07,00:00:00,23:59:59,C,D",
+    "2021-06-07,00:00:00,23:59:59,A,B,-1",
+    "2021-06-07,00:00:00,23:59:59," + "X" * 200_000 + ",D,1",  # beyond the csv field limit
+]
+
+
+@pytest.mark.parametrize("row", LATER_MALFORMED_ROWS)
+def test_duplicate_before_a_malformed_row_is_integrity_error(tmp_path, row):
+    path = write(
+        tmp_path,
+        HEADER
+        + "2021-06-07,00:00:00,23:59:59,A,B,1\n"
+        + "2021-06-07,00:00:00,23:59:59,A,B,2\n"
+        + row
+        + "\n",
+    )
+    with pytest.raises(OdmIntegrityError) as err:
+        parse_file(path)
+    assert err.value.line_no == 3
+    assert "first seen at line 2" in str(err.value)
+
+
+def test_duplicate_before_a_truncated_gzip_is_integrity_error(tmp_path):
+    rows = [f"2021-06-07,00:00:00,23:59:59,A{i},B,{i + 1}\n" for i in range(20_000)]
+    rows.insert(3, rows[1])
+    data = gzip.compress((HEADER + "".join(rows)).encode("utf-8"), mtime=0)
+    path = tmp_path / "cut.csv.gz"
+    path.write_bytes(data[: len(data) // 2])
+    with pytest.raises(OdmIntegrityError) as err:
+        parse_file(path)
+    assert err.value.line_no == 5
+    assert "first seen at line 3" in str(err.value)
+
+
+@pytest.mark.parametrize("row", LATER_MALFORMED_ROWS)
+def test_malformed_row_before_a_duplicate_is_parse_error(tmp_path, row):
+    path = write(
+        tmp_path,
+        HEADER
+        + "2021-06-07,00:00:00,23:59:59,A,B,1\n"
+        + row
+        + "\n"
+        + "2021-06-07,00:00:00,23:59:59,A,B,2\n",
+    )
+    with pytest.raises(OdmParseError) as err:
+        parse_file(path)
+    assert err.value.line_no == 3
+
+
+def test_first_duplicate_in_file_order_wins_across_windows(tmp_path):
+    path = write(
+        tmp_path,
+        HEADER
+        + "2021-06-07,00:00:00,11:59:59,A,B,1\n"
+        + "2021-06-07,12:00:00,23:59:59,C,D,1\n"
+        + "2021-06-07,12:00:00,23:59:59,A,B,1\n"
+        + "2021-06-07,12:00:00,23:59:59,C,D,2\n"
+        + "2021-06-07,00:00:00,11:59:59,A,B,3\n",
+    )
+    with pytest.raises(OdmIntegrityError) as err:
+        parse_file(path)
+    assert err.value.line_no == 5
+    assert "duplicate cell ('C', 'D') in window 2021-06-07 12:00:00-23:59:59" in str(err.value)
+    assert "first seen at line 3" in str(err.value)
+
+
+def test_label_of_zero_count_rows_only_is_not_a_label(tmp_path):
+    path = write(
+        tmp_path,
+        HEADER
+        + "2021-06-07,00:00:00,23:59:59,C,A,0\n"
+        + "2021-06-07,00:00:00,23:59:59,B,A,3\n"
+        + "2021-06-07,00:00:00,23:59:59,A,D,0\n",
+    )
+    (matrix,) = parse_file(path)
+    assert matrix.labels == ("A", "B")
+    assert dict(matrix.cells()) == {("B", "A"): 3}
+
+
+def traced_peak(function, *args):
+    """``function(*args)`` and the most memory it held at once, in bytes, by
+    ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        return function(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_and_encode_hold_no_text_per_row(tmp_path):
+    # 20k rows of one window. Parse keeps an origin id, a destination id, a
+    # count and a line number per row, not the row's labels, and the store
+    # hashes the date's CSV a chunk of rows at a time, not as one string.
+    # The bounds sit between the two: a parse that held each row's labels
+    # peaked at 6.7 MB, and an encode that rendered the CSV whole at 3.3 MB.
+    rows = [
+        f"2021-06-07,00:00:00,23:59:59,area{o:03d},area{d:03d},{1000 + o * d}\n"
+        for o in range(200)
+        for d in range(100)
+    ]
+    path = write(tmp_path, HEADER + "".join(rows))
+    del rows
+    day, parse_peak = traced_peak(parse_file, path)
+    assert len(day[0]) == 20_000
+    data, encode_peak = traced_peak(store._encode_day, dt.date(2021, 6, 7), day)
+    assert data.startswith(b'{"format":1,')
+    assert parse_peak < 3_500_000
+    assert encode_peak < 1_800_000
 
 
 # ASCII and other Unicode decimal digits, then what may surround them.

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import evaluate_cell, report_threshold
 from odmwatch import DetectorConfig, SparseOdm, TimeWindow
-from odmwatch._engine import Columnar, evaluate_window, nearest_rank
+from odmwatch._engine import Columnar, SeriesBlock, evaluate_window, nearest_rank
 
 W = TimeWindow.full_day(dt.date(2021, 6, 7))
 
@@ -174,3 +174,15 @@ def test_relative_increment():
     blocks = {kind: block for kind, _, block in evaluation.blocks()}
     assert blocks["outbound"].inc.tolist() == [0.0]
     assert blocks["inbound"].inc.tolist() == [0.0]
+
+
+@pytest.mark.parametrize("n", [0, 3, 9])
+def test_series_block_replace_keeps_its_series(n):
+    # len() counts a block's series, not its fields.
+    block = SeriesBlock(np.arange(n, dtype=float), np.zeros(n, dtype=np.int8))
+    replaced = block._replace(ma=np.ones(n))
+    assert type(replaced) is SeriesBlock and len(replaced) == n
+    assert replaced.observed is block.observed and replaced.ma.tolist() == [1.0] * n
+    assert replaced.sd is None
+    with pytest.raises(ValueError):
+        block._replace(median=1)
