@@ -8,7 +8,13 @@ evaluates every monitored series with one rule, elementwise.
 The union is built by concatenating the already sorted code arrays, merging
 the sorted runs with a stable argsort, and keeping the first code of each
 run of equal codes; the same permutation gives each period's positions in
-the union, so no period is searched for its codes.
+the union, so no period is searched for its codes. The engine's memory
+follows one window's series, not the stacked period codes: of the arrays as
+long as all the periods' codes, each is freed once the next exists, and only
+the per-period positions, in the narrowest unsigned dtype that holds the
+union's size, outlive the union. The engine keeps no reference to a past
+period past its use, so a caller that keeps none either has its codes freed
+once the union is built and its counts once its series vector is placed.
 
 Each period becomes one integer series vector in report order: the m cells
 of the union, then one inbound marginal per destination, then one outbound
@@ -19,10 +25,12 @@ period, one vector at a time, and the whole vector is evaluated at once: a
 window's result is one block of every series in report order, with each
 series' origin and destination area ids.
 
-The vectors are int64 while every value is at most ``isqrt((2^63 - 1) / n)``,
-so that the sums of squares fit; past that cap the same code runs again on
-object vectors of exact Python ints. Sums are cast to float64 before any
-division, so both give the same results.
+A period's vector is int64 while every value is at most
+``isqrt((2^63 - 1) / n)``, so that the sums of squares fit; past that cap it
+is placed again on an object vector of exact Python ints, and the sums turn
+to Python ints from that period on. Sums are cast to float64 before any
+division, so both give the same results. The float series (ma, sd, the
+bounds and the increment) are computed in place.
 
 Rules, per series (a cell, or an area's diagonal-excluded inbound or
 outbound marginal), over the n available past periods (a missing period is
@@ -179,15 +187,6 @@ def _value_cap(periods: int) -> int:
     return math.isqrt((2**63 - 1) // max(1, periods))
 
 
-class _Wide(Exception):
-    """A value above the int64 cap: the window is evaluated on Python ints."""
-
-
-def _check_cap(values: np.ndarray, cap: float) -> None:
-    if len(values) and int(values.max()) > cap:
-        raise _Wide
-
-
 def _differs(sorted_keys: np.ndarray) -> np.ndarray:
     """A mask of the keys that differ from the key before; the first is set."""
     first = np.empty(len(sorted_keys), dtype=bool)
@@ -197,22 +196,34 @@ def _differs(sorted_keys: np.ndarray) -> np.ndarray:
 
 
 def distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The position in ``keys`` of the first of each distinct key, in key
-    order, and each key's index among them: a stable argsort and a mask of
-    its neighbours that differ."""
+    """The distinct keys, sorted, and each key's index among them, in the
+    narrowest unsigned dtype that holds their count: a stable argsort, then
+    a mask of the sorted keys that differ from the one before. Of the arrays
+    as long as ``keys``, each is freed once the next one exists."""
     order = np.argsort(keys, kind="stable")
-    first = _differs(keys[order])
-    inverse = np.empty(len(keys), dtype=np.int64)
-    inverse[order] = np.cumsum(first) - 1
-    return order[first], inverse
+    keys = keys[order]
+    first = _differs(keys)
+    unique = keys[first]
+    del keys
+    index = np.cumsum(first, dtype=np.min_scalar_type(len(unique)))
+    del first
+    index -= 1
+    inverse = np.empty_like(index)
+    inverse[order] = index
+    return unique, inverse
 
 
 def _classify(observed, ma, sd, t_value: float, th: int, mode: str) -> SeriesBlock:
     """Every series' bounds, status, direction, increment and level, from
-    its observed value and its history's ``ma`` and ``sd``."""
-    upper = ma + np.maximum(t_value, 3.0 * sd)
-    low = np.minimum(ma - t_value, ma - 3.0 * sd)
-    lower = (np.minimum if mode == "paper_literal" else np.maximum)(low, 0.0)
+    its observed value and its history's ``ma`` and ``sd``. Each float series
+    is computed in place, so at most one temporary of the series' length
+    is held beside the results."""
+    upper = 3.0 * sd
+    lower = np.subtract(ma, upper)  # ma - 3 sd
+    np.maximum(t_value, upper, out=upper)
+    upper += ma
+    np.minimum(ma - t_value, lower, out=lower)
+    (np.minimum if mode == "paper_literal" else np.maximum)(lower, 0.0, out=lower)
     eligible = ma >= th
     up_sig = eligible & (observed > upper)
     lo_sig = eligible & (observed < lower)
@@ -222,16 +233,19 @@ def _classify(observed, ma, sd, t_value: float, th: int, mode: str) -> SeriesBlo
     direction = np.zeros(len(observed), dtype=np.int8)
     direction[up_sig] = DIR_UPPER
     direction[lo_sig] = DIR_LOWER
+    del eligible, up_sig, lo_sig
+    inc = observed.astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        inc = (observed.astype(np.float64) / ma - 1.0) * 100.0
+        inc /= ma
+    inc -= 1.0
+    inc *= 100.0
     zero_ma = ma == 0.0
     if zero_ma.any():
         inc[zero_ma & (observed > 0)] = math.inf
         inc[zero_ma & (observed == 0)] = 0.0
-    magnitude = np.abs(inc)
     level = np.ones(len(observed), dtype=np.int8)
-    level += (magnitude >= 50.0).astype(np.int8)
-    level += (magnitude >= 100.0).astype(np.int8)
+    for bound in (50.0, 100.0):  # |inc| >= bound, without a float temporary
+        level += (inc >= bound) | (inc <= -bound)
     return SeriesBlock(observed, status, ma, sd, direction, level, inc, lower, upper)
 
 
@@ -245,72 +259,90 @@ def evaluate_window(
 ) -> WindowEvaluation:
     """Evaluate every cell and marginal series of one window.
 
-    ``history`` lists the p past periods (``None`` = missing period).
+    ``history`` lists the p past periods (``None`` = missing period). No
+    reference to a past period is kept past its use: when the caller keeps
+    none either, its codes are freed once the union is built and its counts
+    once its series vector is placed.
     """
-    try:
-        return _evaluate(current, history, n_areas, th, q, mode, np.int64)
-    except _Wide:
-        return _evaluate(current, history, n_areas, th, q, mode, object)
-
-
-def _evaluate(current, history, n_areas, th, q, mode, dtype: type) -> WindowEvaluation:
-    """``evaluate_window`` on series vectors of ``dtype``."""
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
 
     a = np.int64(n_areas)
-    avail = [h for h in history if h is not None]
-    n = len(avail)
-    cap = _value_cap(n) if dtype is np.int64 else math.inf
-    periods = [current] + avail
-    for mat in periods:
-        _check_cap(mat.values, cap)
+    periods = [current, *(h for h in history if h is not None)]
+    del history
+    n = len(periods) - 1
+    cap = _value_cap(n)
+    counts = [mat.values for mat in periods]
+    codes = [mat.codes for mat in periods]
+    del periods
+    sizes = np.cumsum([len(c) for c in codes])[:-1]
+    keys = np.concatenate(codes)
+    del codes
 
     # Each code array is sorted, so the stable sort only merges runs. Each
     # code's index in the union also gives every period's positions in it.
-    codes = np.concatenate([mat.codes for mat in periods])
-    firsts, positions = distinct(codes)
-    universe = codes[firsts]
-    slots = np.split(positions, np.cumsum([len(mat.codes) for mat in periods])[:-1])
+    universe, positions = distinct(keys)
+    del keys
+    slots = np.split(positions, sizes)
+    del positions  # the slots are views of it
     m = len(universe)
 
     # Outbound series group by origin (the code order); inbound series need
-    # one permutation by destination, reused for every period.
+    # one permutation by destination, reused for every period. The areas of
+    # the cells are taken again from the codes once the series are built.
     origin, destination = np.divmod(universe, a)
     offdiag = origin != destination
     out_starts = np.flatnonzero(_differs(origin))
     dest_perm = np.argsort(destination, kind="stable")
     in_starts = np.flatnonzero(_differs(destination[dest_perm]))
+    in_areas, out_areas = destination[dest_perm[in_starts]], origin[out_starts]
+    del origin, destination
     inbound = slice(m, m + len(in_starts))
     outbound = slice(inbound.stop, inbound.stop + len(out_starts))
 
     def series(k: int) -> np.ndarray:
-        """Period k's series vector: cells, then inbound, then outbound."""
-        values = np.zeros(outbound.stop, dtype=dtype)
-        values[slots[k]] = periods[k].values
-        masked = np.where(offdiag, values[:m], 0)
-        np.add.reduceat(masked[dest_perm], in_starts, out=values[inbound])
-        np.add.reduceat(masked, out_starts, out=values[outbound])
-        if n:  # marginals are squared only when there is history
-            _check_cap(values[m:], cap)
-        return values
+        """Period k's series vector: cells, then inbound, then outbound. It
+        is int64 while every value is at most the cap, else of Python ints."""
+        for dtype in (np.int64, object):
+            values = np.zeros(outbound.stop, dtype=dtype)
+            values[slots[k]] = counts[k]
+            masked = np.where(offdiag, values[:m], 0)
+            np.add.reduceat(masked[dest_perm], in_starts, out=values[inbound])
+            np.add.reduceat(masked, out_starts, out=values[outbound])
+            if dtype is object or not len(values) or int(values.max()) <= cap:
+                return values
 
     # Exact integer sums over the available periods, and which series held
-    # the same value in every one of them.
+    # the same value in every one of them. Once a period's vector holds
+    # Python ints, so do the sums.
     for k in range(1, n + 1):
         values = series(k)
+        counts[k] = slots[k] = None
         if k == 1:
             base, total, sumsq = values, values.copy(), values * values
             constant = np.ones(len(values), dtype=bool)
         else:
-            total += values
-            sumsq += values * values
+            if values.dtype == object and total.dtype != object:
+                total, sumsq = total.astype(object), sumsq.astype(object)
             constant &= values == base
+            total += values
+            values *= values
+            sumsq += values
+    values = None  # the last period's vector goes before the current one is built
     observed = series(0)
+    del slots, offdiag, dest_perm
     if n:
-        ma = total.astype(np.float64) / n
-        sd = np.sqrt(np.maximum(0.0, sumsq.astype(np.float64) / n - ma * ma))
+        ma = total.astype(np.float64)
+        del total
+        ma /= n
+        sd = sumsq.astype(np.float64)
+        del sumsq
+        sd /= n
+        sd -= ma * ma
+        np.maximum(0.0, sd, out=sd)
+        np.sqrt(sd, out=sd)
         sd[constant] = 0.0
+        del base, constant
     timings["stats"] = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -331,7 +363,7 @@ def _evaluate(current, history, n_areas, th, q, mode, dtype: type) -> WindowEval
 
     # Each series' area ids in report order, -1 for the side a marginal lacks, built
     # once _classify has freed its temporaries, so as not to raise the peak memory.
-    in_areas, out_areas = destination[dest_perm[in_starts]], origin[out_starts]
+    origin, destination = np.divmod(universe, a)
     origin = np.concatenate([origin, np.full(len(in_areas), -1), out_areas])
     destination = np.concatenate([destination, in_areas, np.full(len(out_areas), -1)])
     return WindowEvaluation(
@@ -346,4 +378,3 @@ def _evaluate(current, history, n_areas, th, q, mode, dtype: type) -> WindowEval
         stops=(m, inbound.stop, outbound.stop),
         timings=timings,
     )
-

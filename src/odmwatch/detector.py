@@ -51,9 +51,11 @@ REPORT_COLUMNS = (
 _STATUS_NAMES = ("no_signal", "signal", "below_eligibility", "missing_data")
 _DIRECTION_NAMES = (None, "upper", "lower")
 
-# Rows per string the writers build, so that a report is never held whole
-# in memory: only a window's tables of distinct texts and its rows' indices
-# into them span the window.
+# Rows per string the writers build, so that the report's text is never held
+# whole: what spans a window is its written rows' values (``ReportRows``),
+# one table per column of the distinct texts of those values, which can hold
+# nearly every number's text of the window when few values repeat, and the
+# rows' indices into the tables, each in the narrowest dtype that holds it.
 _CHUNK_ROWS = 1024
 
 
@@ -64,17 +66,30 @@ class ReportRows:
     last, and ``sides`` the rows' origin area ids, then their destination
     area ids (-1 for a side a marginal lacks), as indices into ``labels``.
     ``len()`` is the row count; iterating yields one ``REPORT_COLUMNS``
-    tuple per row of ``fields()``' plain values."""
+    tuple per row of ``fields()``' plain values.
+
+    ``columns`` lists the arrays of the engine's ``series``, then its
+    ``origin`` and ``destination``, and ``stops`` its ``stops``. The list is
+    taken over: each column in it is replaced by its written rows in turn,
+    so that, when the caller holds the evaluation no more, no more than one
+    full column is held beside the copied rows."""
 
     def __init__(
-        self, evaluation: _engine.WindowEvaluation, labels: list[str], head: tuple[str, ...]
+        self, columns: list, stops: Sequence[int], labels: list[str], head: tuple[str, ...]
     ) -> None:
         self.labels = labels
         self.head = head  # source, date, start, end
-        hits = np.flatnonzero(evaluation.series.status != _engine.STATUS_NO_SIGNAL)
-        self.block = evaluation.series.take(hits)
-        self.sides = np.concatenate([evaluation.origin[hits], evaluation.destination[hits]])
-        stops = np.searchsorted(hits, evaluation.stops).tolist()
+        hits = np.flatnonzero(columns[1] != _engine.STATUS_NO_SIGNAL)  # the status column
+        for k in range(len(columns)):
+            if columns[k] is not None:
+                columns[k] = columns[k][hits]
+        *block, origin, destination = columns
+        columns.clear()
+        self.block = _engine.SeriesBlock(*block)
+        # Signed, so as to hold -1, and as narrow as the label count allows.
+        ids = np.min_scalar_type(-max(1, len(labels)))
+        self.sides = np.concatenate([origin, destination], dtype=ids, casting="same_kind")
+        stops = np.searchsorted(hits, stops).tolist()
         self.kinds = list(zip(_engine.SERIES_KINDS, [0, *stops], stops))
 
     def __len__(self) -> int:
@@ -141,14 +156,18 @@ def _distinct_texts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """An object array of ``form(value)`` for each distinct value of the
     ``written`` rows (every row for ``None``), then ``null``, and each row's
-    index in it (``null``'s for a row not written). Floats are keyed by their
-    exact bits, so ``-0.0`` and ``0.0`` get their own texts."""
-    rows = np.arange(len(values)) if written is None else np.flatnonzero(written)
-    picked = values[rows]
-    firsts, inverse = _engine.distinct(picked.view(np.int64) if picked.dtype == np.float64 else picked)
-    index = np.full(len(values), len(firsts))
-    index[rows] = inverse
-    return np.array([*map(form, picked[firsts].tolist()), null], dtype=object), index
+    index in it (``null``'s for a row not written), in the narrowest unsigned
+    dtype that holds it. Floats are keyed by their exact bits, so ``-0.0`` and
+    ``0.0`` get their own texts."""
+    picked = values if written is None else values[written]
+    floats = picked.dtype == np.float64
+    unique, index = _engine.distinct(picked.view(np.int64) if floats else picked)
+    del picked
+    if written is not None:
+        index, inverse = np.full(len(values), len(unique), dtype=index.dtype), index
+        index[written] = inverse
+    unique = unique.view(np.float64) if floats else unique
+    return np.array([*map(form, unique.tolist()), null], dtype=object), index
 
 
 class WindowReport(NamedTuple):
@@ -202,31 +221,47 @@ def run_window(
     past period, plus the outbound marginal of every origin and the inbound
     marginal of every destination in that union. Output ordering is fixed:
     cells, then inbound, then outbound, each sorted by area labels.
+
+    No reference to a snapshot is kept once the window is encoded, nor to
+    the evaluation once ``ReportRows`` has it: when the caller keeps none
+    either, as ``detect_day`` does, the date-file buffers the snapshots view
+    are freed as the engine returns, and each full series column as soon as
+    its written rows are copied.
     """
-    present = [current] + [m for m in history if m is not None]
-    labels = sorted(set().union(*(m.labels for m in present)))
+    window = current.window
+    snapshots = [m for m in reversed(history) if m is not None] + [current]
+    del current, history
+    labels = sorted(set().union(*(m.labels for m in snapshots)))
     label_ids = {label: i for i, label in enumerate(labels)}
     n_areas = max(1, len(labels))
-    columns = [
-        _engine.columnar_from_entries(
-            m, np.array([label_ids[x] for x in m.labels], dtype=np.int64), n_areas
-        )
-        for m in present
-    ]
+
+    def encode(m: SparseOdm) -> _engine.Columnar:
+        ranks = np.array([label_ids[x] for x in m.labels], dtype=np.int64)
+        return _engine.columnar_from_entries(m, ranks, n_areas)
+
+    # The snapshots are popped as they are encoded, current first, and the
+    # history goes to the engine in a list that no name here holds.
     evaluation = _engine.evaluate_window(
-        columns[0], columns[1:], n_areas, config.th, config.quantile, config.bounds_mode
+        encode(snapshots.pop()),
+        [encode(snapshots.pop()) for _ in range(len(snapshots))],
+        n_areas,
+        config.th,
+        config.quantile,
+        config.bounds_mode,
     )
-    window = current.window
     head = (source_id, window.date.isoformat(), window.start.isoformat(), window.end.isoformat())
+    names = ("t", "eligible_count", "degenerate", "available")
+    stats = {name: getattr(evaluation, name) for name in names}
+    summary = evaluation.summary()
+    columns = [*evaluation.series, evaluation.origin, evaluation.destination]
+    stops = evaluation.stops
+    del evaluation  # ReportRows takes its columns over
     return WindowReport(
         source_id=source_id,
         window=window,
-        t=evaluation.t,
-        eligible_count=evaluation.eligible_count,
-        degenerate=evaluation.degenerate,
-        available=evaluation.available,
-        outcomes=ReportRows(evaluation, labels, head),
-        summary=evaluation.summary(),
+        outcomes=ReportRows(columns, stops, labels, head),
+        summary=summary,
+        **stats,
     )
 
 
@@ -267,12 +302,20 @@ def detect_day(
             source_id, past_date, lambda window: (window.start, window.end) in times
         )
         past.append({(m.window.start, m.window.end): m for m in found})
+    del found
 
+    # Each window's snapshots are popped and handed to run_window, not kept
+    # here, so that a date file's buffer is freed once its last window is
+    # evaluated.
     reports = []
-    for current in currents:
-        key = (current.window.start, current.window.end)
-        history = [day.get(key) for day in past]
-        reports.append(run_window(current, history, config, source_id=source_id))
+    currents.reverse()
+    while currents:
+        key = (currents[-1].window.start, currents[-1].window.end)
+        reports.append(
+            run_window(
+                currents.pop(), [day.pop(key, None) for day in past], config, source_id=source_id
+            )
+        )
 
     return DayReport(
         source_id=source_id,

@@ -269,14 +269,16 @@ def parse_file(path: str | Path) -> list[SparseOdm]:
 
 
 # csv.writer returns what its file's ``write`` returns: here, the line itself.
-_CSV_LINE = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
+# It quotes the characters of its line terminator, so "\r\n" has it quote both.
+_CSV_LINE = csv.writer(SimpleNamespace(write=str), lineterminator="\r\n")
 
 
 def csv_field(text: str) -> str:
-    """``text`` as ``csv.writer`` writes it as one field of a row ending in
-    ``\\n``: quoted when it holds a comma, a double quote or ``\\n``. An empty
-    field stays empty; ``csv.writer`` quotes it only as a row's one field."""
-    return _CSV_LINE.writerow((text,))[:-1] if text else ""
+    """``text`` as ``csv.writer`` writes it as one field: quoted when it holds
+    a comma, a double quote, ``\\r`` or ``\\n``, so that every written row reads
+    back as one row. An empty field stays empty; ``csv.writer`` quotes it
+    only as a row's one field."""
+    return _CSV_LINE.writerow((text,))[:-2] if text else ""
 
 
 def window_csv(snapshot: SparseOdm) -> Iterator[str]:

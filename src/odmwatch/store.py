@@ -193,7 +193,7 @@ class HistoryStore:
                 kept = self.read_day(source_id, date, lambda window: window not in given)[2]
                 day = sorted((*kept, *given.values()), key=operator.attrgetter("window"))
                 with atomic_open(path, "wb") as handle:
-                    handle.write(_encode_day(date, day))
+                    handle.writelines(_encode_day(date, day))
         except StoreError:
             raise
         except OSError as exc:
@@ -278,12 +278,18 @@ class HistoryStore:
             ) from None
 
 
-def _encode_day(date: dt.date, day: Sequence[SparseOdm]) -> bytes:
-    """The bytes of a date file holding ``day``, in (start, end) order."""
+def _encode_day(date: dt.date, day: Sequence[SparseOdm]) -> list:
+    """The pieces of a date file holding ``day``, in (start, end) order: the
+    header line, then each window's codes and counts as little-endian int64
+    buffers. The payload's SHA-256 is taken a buffer at a time, and no piece
+    is a copy of another, so the array section is never held twice."""
     csv_sha256 = hashlib.sha256()
     for text in snapshots_csv(day):
         csv_sha256.update(text.encode())
-    payload = _little_endian(b"".join(a for m in day for a in (m.codes, m.counts)))
+    arrays = [_little_endian(a) for m in day for a in (m.codes, m.counts)]
+    payload_sha256 = hashlib.sha256()
+    for a in arrays:
+        payload_sha256.update(a)
     header = json.dumps(
         {
             "format": FORMAT,
@@ -297,13 +303,13 @@ def _encode_day(date: dt.date, day: Sequence[SparseOdm]) -> bytes:
                 }
                 for m in day
             ],
-            "sha256": hashlib.sha256(payload).hexdigest(),
+            "sha256": payload_sha256.hexdigest(),
             "csv_sha256": csv_sha256.hexdigest(),
         },
         separators=(",", ":"),
     )
     header += " " * (-(len(header) + 1) % _INT64_SIZE)
-    return header.encode("ascii") + b"\n" + payload
+    return [header.encode("ascii") + b"\n", *arrays]
 
 
 def _decode_day(

@@ -268,10 +268,22 @@ def write_reference_jsonl(report, handle: IO[str]) -> None:
     handle.write(dump(_report_summary(report)) + "\n")
 
 
+class _LineFeedRows:
+    """A file for ``csv.writer(lineterminator="\\r\\n")`` that ends each row
+    in ``\\n``: the writer quotes the characters of its line terminator, so a
+    field holding ``\\r`` or ``\\n`` is quoted and every row reads back whole."""
+
+    def __init__(self, handle: IO[str]) -> None:
+        self.handle = handle
+
+    def write(self, line: str) -> None:
+        self.handle.write(line[:-2] + "\n")
+
+
 def write_reference_csv(report, handle: IO[str]) -> None:
     """The outcome table as ``write_day_report_csv`` must write it: a
     ``csv.writer`` over the iterated rows."""
-    writer = csv.writer(handle, lineterminator="\n")
+    writer = csv.writer(_LineFeedRows(handle), lineterminator="\r\n")
     writer.writerow(REPORT_COLUMNS)
     writer.writerows(reference_rows(report))
 
@@ -280,7 +292,7 @@ def write_reference_snapshots_csv(snapshots, handle: IO[str]) -> None:
     """Snapshots as ``write_snapshots_csv`` must write them: a ``csv.writer``
     over the ``(date, start, end, origin, destination, str(count))`` rows of
     each window, in window order and then in cell order."""
-    writer = csv.writer(handle, lineterminator="\n")
+    writer = csv.writer(_LineFeedRows(handle), lineterminator="\r\n")
     writer.writerow(CSV_COLUMNS)
     for snapshot in sorted(snapshots, key=lambda m: m.window):
         w = snapshot.window

@@ -440,8 +440,8 @@ def test_parse_and_encode_hold_no_text_per_row(tmp_path):
     del rows
     day, parse_peak = traced_peak(parse_file, path)
     assert len(day[0]) == 20_000
-    data, encode_peak = traced_peak(store._encode_day, dt.date(2021, 6, 7), day)
-    assert data.startswith(b'{"format":1,')
+    pieces, encode_peak = traced_peak(store._encode_day, dt.date(2021, 6, 7), day)
+    assert pieces[0].startswith(b'{"format":1,')
     assert parse_peak < 3_500_000
     assert encode_peak < 1_800_000
 

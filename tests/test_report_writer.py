@@ -172,3 +172,24 @@ def test_distinct_texts_formats_each_value_once():
     wide = np.array([2**64 + 1, 5, 2**64 + 1, 2**63], dtype=object)
     table, index = detector._distinct_texts(wide, None, str, "null")
     assert table[index].tolist() == ["18446744073709551617", "5", "18446744073709551617", "9223372036854775808"]
+
+
+@pytest.mark.parametrize("distinct", [255, 256, 65_535, 65_536])
+def test_narrow_text_indexes_write_the_same_report(distinct):
+    # distinct - 1 diagonal cells of counts 1 .. distinct - 1, and their
+    # marginals of 0: every series is below th, so every observed value is
+    # written, one of `distinct` values.
+    config = DetectorConfig(th=10**6, p=1, quantile=0.5)
+    cells = {(f"L{i}", f"L{i}"): i for i in range(1, distinct)}
+    history = [SparseOdm(TimeWindow.full_day(DATE - dt.timedelta(days=7)), cells)]
+    window = run_window(SparseOdm(TimeWindow.full_day(DATE), cells), history, config, "s")
+    table, index = window.outcomes.fields(str, "")[6]  # observed
+    assert index.dtype == np.min_scalar_type(distinct)
+    assert len(table) == distinct + 1  # and the null text
+    rows = window.outcomes.block.observed.tolist()
+    assert table[index].tolist() == [str(value) for value in rows]
+    report = DayReport(source_id="s", date=DATE, config=config, window_reports=[window])
+    written, expected = io.StringIO(), io.StringIO()
+    write_day_report_jsonl(report, written)
+    write_reference_jsonl(report, expected)
+    assert written.getvalue() == expected.getvalue()
