@@ -12,7 +12,7 @@ from __future__ import annotations
 import datetime as dt
 import operator
 from array import array
-from itertools import islice
+from itertools import compress, islice, repeat
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 # Area labels are opaque strings; the label set is discovered from data.
@@ -91,6 +91,14 @@ class TimeWindow(_TimeWindow):
         return f"{self.start.isoformat()}-{self.end.isoformat()}"
 
 
+class DuplicateCell(ValueError):
+    """Row ``row`` repeats the cell ``pair``, (origin, destination), of row ``earlier``."""
+
+    def __init__(self, pair: tuple[AreaId, AreaId], row: int, earlier: int) -> None:
+        super().__init__(f"duplicate cell ({pair[0]}, {pair[1]})")
+        self.pair, self.row, self.earlier = pair, row, earlier
+
+
 class SparseOdm:
     """Immutable sparse ODM snapshot for one time window, in columnar form.
 
@@ -100,7 +108,10 @@ class SparseOdm:
     matching int64 counts, all > 0. Both are read-only ``memoryview``s of
     format ``q``; ``np.frombuffer(m.codes, np.int64)`` views one as a
     read-only array without a copy. Zero counts are dropped on
-    construction, so "absent" and "zero" stay interchangeable.
+    construction, so "absent" and "zero" stay interchangeable. The
+    constructor checks each cell, then builds as ``from_ids`` does for a
+    parsed window: the labels are ranked once and the cells coded once, into
+    one int64 array that the duplicate check, the sort and the snapshot share.
     """
 
     __slots__ = ("window", "labels", "codes", "counts")
@@ -112,39 +123,37 @@ class SparseOdm:
     ) -> None:
         items = cells.items() if isinstance(cells, Mapping) else cells
         ids: dict[AreaId, int] = {}
-        seen: set[tuple[AreaId, AreaId]] = set()
-        origins: list[int] = []
-        dests: list[int] = []
-        counts: list[int] = []
-        for (origin, destination), count in items:
-            for label in (origin, destination):
-                if not isinstance(label, str) or not label:
-                    raise ValueError(f"area label must be a non-empty string, got {label!r}")
-            if isinstance(count, bool) or not isinstance(count, int):
-                raise ValueError(f"count for ({origin}, {destination}) must be an integer")
-            if count < 0:
-                raise ValueError(f"negative count {count} for ({origin}, {destination})")
-            if count > MAX_COUNT:
-                raise ValueError(
-                    f"count {count} for ({origin}, {destination}) exceeds the int64 "
-                    f"limit {MAX_COUNT}"
-                )
-            if (origin, destination) in seen:
-                raise ValueError(f"duplicate cell ({origin}, {destination})")
-            seen.add((origin, destination))
-            if count > 0:
+        origins, dests, counts = [], [], array("q")
+        try:
+            for (origin, destination), count in items:
+                for label in (origin, destination):
+                    if not isinstance(label, str) or not label:
+                        raise ValueError(f"area label must be a non-empty string, got {label!r}")
+                if isinstance(count, bool) or not isinstance(count, int):
+                    raise ValueError(f"count for ({origin}, {destination}) must be an integer")
+                if count < 0:
+                    raise ValueError(f"negative count {count} for ({origin}, {destination})")
+                if count > MAX_COUNT:
+                    raise ValueError(
+                        f"count {count} for ({origin}, {destination}) exceeds the int64 "
+                        f"limit {MAX_COUNT}"
+                    )
                 origins.append(ids.setdefault(origin, len(ids)))
                 dests.append(ids.setdefault(destination, len(ids)))
                 counts.append(count)
-        self._build(window, list(ids), origins, dests, counts)
+        except (TypeError, ValueError):
+            _columns(list(ids), origins, dests, counts)  # a duplicate cell read before wins
+            raise
+        self._assign(window, *_columns(list(ids), origins, dests, counts))
 
     @classmethod
     def from_ids(cls, window: TimeWindow, names: Sequence[AreaId], origins, dests, counts):
-        """Build from checked cells: ``names[i]`` labels id i; each cell has origin
-        and destination ids, a count > 0 and a unique pair. Unused ids are dropped."""
-        matrix = object.__new__(cls)
-        matrix._build(window, names, origins, dests, counts)
-        return matrix
+        """Build from rows of label ids: row k is the cell ``(names[origins[k]],
+        names[dests[k]])`` with count ``counts[k] >= 0`` (``counts`` an
+        ``array('q')``). Zero-count rows take part in the duplicate check, then
+        are dropped, as are unused ids. Raises :class:`DuplicateCell` for the
+        first row whose cell an earlier row holds."""
+        return cls.from_columns(window, *_columns(names, origins, dests, counts))
 
     @classmethod
     def from_columns(cls, window: TimeWindow, labels: Sequence[AreaId], codes, counts):
@@ -154,23 +163,11 @@ class SparseOdm:
         ``array('q')``, a numpy int64 array, a ``memoryview``), kept without a
         copy as read-only views."""
         matrix = object.__new__(cls)
-        matrix._assign(window, tuple(labels), codes, counts)
+        matrix._assign(window, labels, codes, counts)
         return matrix
 
-    def _build(self, window, names, origins, dests, counts) -> None:
-        used = sorted({*origins, *dests}, key=names.__getitem__)
-        rank = [0] * len(names)
-        for r, i in enumerate(used):
-            rank[i] = r
-        n = len(used)
-        codes = [rank[o] * n + rank[d] for o, d in zip(origins, dests)]
-        if not all(map(operator.lt, codes, islice(codes, 1, None))):  # rows not in label order
-            order = sorted(range(len(codes)), key=codes.__getitem__)
-            codes, counts = [codes[i] for i in order], [counts[i] for i in order]
-        self._assign(window, tuple(names[i] for i in used), array("q", codes), array("q", counts))
-
     def _assign(self, window, labels, codes, counts) -> None:
-        self.window, self.labels = window, labels
+        self.window, self.labels = window, tuple(labels)
         self.codes, self.counts = (_int64_view(a) for a in (codes, counts))
 
     def cells(self) -> Iterator[tuple[tuple[AreaId, AreaId], int]]:
@@ -195,6 +192,36 @@ class SparseOdm:
 
     def __repr__(self) -> str:
         return f"SparseOdm({self.window.date} {self.window.times_key()}, {len(self)} cells)"
+
+
+def _columns(names: Sequence[AreaId], origins, dests, counts) -> tuple[list, array, array]:
+    """``from_ids``'s (labels, codes, counts): the used labels ranked once, each
+    row coded once into an int64 array. Rows out of label order are sorted
+    once, each count carried in the low 64 bits of its code's key."""
+    used = sorted({*origins, *dests}, key=names.__getitem__)
+    rank = [0] * len(names)
+    for r, i in enumerate(used):
+        rank[i] = r
+    row_base = [r * len(used) for r in rank]
+
+    def coded():  # each row's code, in row order
+        return map(operator.add, map(row_base.__getitem__, origins), map(rank.__getitem__, dests))
+
+    codes, ordered_counts = array("q", coded()), counts
+    if not all(map(operator.lt, codes, islice(codes, 1, None))):  # out of order, or repeats
+        keys = sorted(map(operator.or_, map(operator.lshift, codes, repeat(64)), counts))
+        codes = array("q", map(operator.rshift, keys, repeat(64)))
+        if not all(map(operator.lt, codes, islice(codes, 1, None))):  # a cell repeats
+            first: dict[int, int] = {}
+            for row, code in enumerate(coded()):
+                earlier = first.setdefault(code, row)
+                if earlier != row:
+                    raise DuplicateCell((names[origins[row]], names[dests[row]]), row, earlier)
+        ordered_counts = array("q", map(operator.and_, keys, repeat(2**64 - 1)))
+    if 0 in counts:  # zero-count rows named their cells for the duplicate check only
+        ids = (list(compress(column, counts)) for column in (origins, dests))
+        return _columns(names, *ids, array("q", compress(counts, counts)))
+    return [names[i] for i in used], codes, ordered_counts
 
 
 def _int64_view(buffer) -> memoryview:

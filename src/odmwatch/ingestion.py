@@ -11,16 +11,15 @@ import csv
 import datetime as dt
 import io
 import json
-import operator
 import re
 import zlib  # for a corrupt .gz; the store's tempfile imports it anyway
 from array import array
-from itertools import compress, islice, repeat
+from itertools import repeat
 from pathlib import Path
 from types import SimpleNamespace
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
-from .core import MAX_COUNT, SparseOdm, TimeWindow
+from .core import MAX_COUNT, DuplicateCell, SparseOdm, TimeWindow
 
 CSV_COLUMNS = ("date", "start", "end", "origin", "destination", "count")
 # Rows per string that ``window_csv`` renders: the store hashes a date's CSV
@@ -128,74 +127,68 @@ def parse_rows(rows: Iterable[tuple[int, Sequence[str]]], source: str) -> list[S
     destination) within one window raises :class:`OdmIntegrityError`, and the
     first one in file order wins over any later error.
     Empty rows are skipped and zero-count rows dropped (absent and zero are
-    equivalent).
+    equivalent). ``SparseOdm.from_ids`` codes each window's rows once, into
+    the one array its duplicate check, its sort and its snapshot share.
     """
-    # Each triple maps to its window's slot (window, first-seen label ids, and
-    # per row its origin id, destination id, count and line), shared by
-    # triples of one window; None marks a start that does not precede its end.
-    # No row's text is kept: duplicates are found from the ids once read.
-    slots: dict[tuple[str, str, str], tuple | None] = {}
+    # Each raw triple maps to its window's slot (window, label ids, origin ids,
+    # destination ids, counts, lines), shared by the triples of one window; a
+    # slot of window None, never filled, marks a start that does not precede its end.
+    slots: dict[tuple[str, str, str], tuple] = {}
     by_window: dict[TimeWindow, tuple] = {}
     n_fields = len(CSV_COLUMNS)
+    last_date = last_start = last_end = None
     try:
         for line_no, row in rows:
-            if not row:
-                continue
             try:
                 if len(row) != n_fields:
+                    if not row:
+                        continue
                     raise ValueError(f"expected {n_fields} fields, got {len(row)}")
-                date_s, start_s, end_s, origin, destination, count_s = map(str.strip, row)
-                triple = (date_s, start_s, end_s)
-                if triple in slots:
-                    slot = slots[triple]
-                else:
-                    date = _parse_date(date_s)
-                    start = _parse_time(start_s)
-                    end = _parse_time(end_s)
-                    slot = None
-                    if start < end:
-                        window = TimeWindow(date, start, end)
-                        columns = ([], [], array("q"), array("q"))
-                        slot = by_window.setdefault(window, (window, {}, *columns))
-                    slots[triple] = slot
-                count = _parse_count(count_s)
+                date_s, start_s, end_s, origin, destination, count_s = row
+                if start_s != last_start or date_s != last_date or end_s != last_end:
+                    last_date, last_start, last_end = triple = date_s, start_s, end_s
+                    if triple not in slots:  # only a new triple is stripped and parsed
+                        date = _parse_date(date_s.strip())
+                        start, end = _parse_time(start_s.strip()), _parse_time(end_s.strip())
+                        window = TimeWindow(date, start, end) if start < end else None
+                        slot = (window, {}, [], [], array("q"), array("q"))
+                        slots[triple] = by_window.setdefault(window, slot) if window else slot
+                    window, ids, *columns = slots[triple]
+                    add_origin, add_dest, add_count, add_line = (c.append for c in columns)
+                try:
+                    count = int(count_s)
+                    if not 0 <= count <= MAX_COUNT:
+                        raise ValueError
+                except ValueError:  # the message, or a count int() reads only once stripped
+                    count = _parse_count(count_s.strip())
+                origin, destination = origin.strip(), destination.strip()
                 if not origin or not destination:
                     raise ValueError("empty area label")
-                if slot is None:
-                    raise ValueError(f"window start {start_s} must precede end {end_s}")
+                if window is None:
+                    raise ValueError(
+                        f"window start {start_s.strip()} must precede end {end_s.strip()}"
+                    )
             except ValueError as exc:
                 raise OdmParseError(source, line_no, str(exc)) from None
-            _, ids, origins, dests, counts, lines = slot
-            origins.append(ids.setdefault(origin, len(ids)))
-            dests.append(ids.setdefault(destination, len(ids)))
-            counts.append(count)
-            lines.append(line_no)
+            add_origin(ids.setdefault(origin, len(ids)))
+            add_dest(ids.setdefault(destination, len(ids)))
+            add_count(count)
+            add_line(line_no)
     except (OdmParseError, csv.Error, EOFError, zlib.error):  # parse_file's reader errors too
         _check_duplicates(source, by_window.values())  # a duplicate read before wins
         raise
-    _check_duplicates(source, by_window.values())
-    snapshots = []
-    for window in sorted(by_window):
-        _, ids, origins, dests, counts, _ = by_window[window]
-        if 0 in counts:  # zero-count rows were kept for the duplicate check only
-            origins, dests, counts = [
-                array("q", compress(column, counts)) for column in (origins, dests, counts)
-            ]
-        snapshots.append(SparseOdm.from_ids(window, list(ids), origins, dests, counts))
-    return snapshots
+    return _check_duplicates(source, [by_window[window] for window in sorted(by_window)])
 
 
-def _check_duplicates(source: str, slots: Iterable[tuple]) -> None:
-    """Raise :class:`OdmIntegrityError` for the earliest row, in file order,
-    that repeats the cell of an earlier row of its window, if any does."""
-    found = []
-    for window, ids, origins, dests, _, lines in slots:
-        rows = _first_repeat(ids, origins, dests)
-        if rows is not None:
-            row, earlier = rows
-            names = list(ids)
-            pair = (names[origins[row]], names[dests[row]])
-            found.append((lines[row], lines[earlier], pair, window))
+def _check_duplicates(source: str, slots: Iterable[tuple]) -> list[SparseOdm]:
+    """Each slot's snapshot from ``SparseOdm.from_ids``; or raise
+    :class:`OdmIntegrityError` for the earliest repeated cell in file order."""
+    snapshots, found = [], []
+    for window, ids, origins, dests, counts, lines in slots:
+        try:
+            snapshots.append(SparseOdm.from_ids(window, list(ids), origins, dests, counts))
+        except DuplicateCell as dup:
+            found.append((lines[dup.row], lines[dup.earlier], dup.pair, window))
     if found:
         line_no, first_line, pair, window = min(found)  # line numbers differ across windows
         raise OdmIntegrityError(
@@ -204,28 +197,7 @@ def _check_duplicates(source: str, slots: Iterable[tuple]) -> None:
             f"duplicate cell {pair} in window {window.date} "
             f"{window.times_key()} (first seen at line {first_line})",
         ) from None
-
-
-def _first_repeat(ids: dict[str, int], origins, dests) -> tuple[int, int] | None:
-    """(row, earlier row) for a window's first row, in file order, whose cell
-    an earlier row holds, or None."""
-    rank = [0] * len(ids)
-    for r, label in enumerate(sorted(ids)):
-        rank[ids[label]] = r
-    # Codes over label ranks, so rows in label order give increasing ones.
-    codes = array("q", map(
-        operator.add,
-        map(operator.mul, map(rank.__getitem__, origins), repeat(len(rank))),
-        map(rank.__getitem__, dests),
-    ))
-    if all(map(operator.lt, codes, islice(codes, 1, None))) or len(set(codes)) == len(codes):
-        return None  # no code repeats: the scan below would find none
-    first: dict[int, int] = {}
-    for row, code in enumerate(codes):
-        if code in first:
-            return row, first[code]
-        first[code] = row
-    return None
+    return snapshots
 
 
 def _open_text(path: Path) -> IO[str]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+from array import array
 from pathlib import Path
 from typing import NamedTuple
 
@@ -240,7 +241,7 @@ def generate(
                     labels,
                     origins[keep].tolist(),
                     dests[keep].tolist(),
-                    counts[keep].tolist(),
+                    array("q", counts[keep].tolist()),
                 )
             )
 

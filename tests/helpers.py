@@ -1,7 +1,7 @@
 """Shared test utilities: single-series and single-window probes of the
 detector, dense <-> sparse conversion, randomized store-backed comparison
-trials against the dense oracle, and the row-by-row reference report
-writers."""
+trials against the dense oracle, the row-by-row reference parser and the
+row-by-row reference report writers."""
 
 from __future__ import annotations
 
@@ -23,7 +23,8 @@ from odmwatch.detector import (
     _report_header,
     _report_summary,
 )
-from odmwatch.ingestion import CSV_COLUMNS
+from odmwatch.core import MAX_COUNT
+from odmwatch.ingestion import CSV_COLUMNS, OdmIntegrityError, OdmParseError
 from odmwatch.store import HistoryStore
 
 BASE_DATE = dt.date(2021, 6, 7)  # a Monday
@@ -239,6 +240,72 @@ def run_store_backed_trial(
         current_dense, history_dense, labels, th, q, mode
     )
     return compare_report_to_oracle(report, oracle)
+
+
+# -- reference parser ------------------------------------------------------
+
+
+def _reference_time(text: str) -> dt.time:
+    try:
+        return dt.datetime.strptime(text, "%H:%M:%S").time()
+    except ValueError:
+        raise ValueError(f"bad time {text!r}, expected HH:MM:SS") from None
+
+
+def reference_parse_rows(rows, source: str) -> list[tuple]:
+    """What ``ingestion.parse_rows`` must give for the same (line_no, row)
+    pairs, checked one row at a time: each row's stripped fields in the
+    order field count, date, start, end, count, empty label, start < end,
+    then its cell against a dict of the cells its window has seen. Returns
+    ``(window, labels, cells)`` per window in window order, ``cells`` the
+    sorted ``((origin, destination), count)`` pairs of nonzero count (none
+    for a window of zero-count rows only) and ``labels`` their sorted
+    areas; raises at the first bad row."""
+    windows: dict[TimeWindow, dict] = {}
+    for line_no, row in rows:
+        if not row:
+            continue
+        try:
+            if len(row) != len(CSV_COLUMNS):
+                raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(row)}")
+            date_s, start_s, end_s, origin, destination, count_s = (f.strip() for f in row)
+            try:
+                date = dt.date.fromisoformat(date_s)
+            except ValueError:
+                raise ValueError(f"bad date {date_s!r}, expected YYYY-MM-DD") from None
+            start = _reference_time(start_s)
+            end = _reference_time(end_s)
+            try:
+                count = int(count_s)
+            except ValueError:
+                raise ValueError(f"bad count {count_s!r}, expected a nonnegative integer") from None
+            if count < 0:
+                raise ValueError(f"negative count {count}")
+            if count > MAX_COUNT:
+                raise ValueError(f"count {count} exceeds the int64 limit {MAX_COUNT}")
+            if not origin or not destination:
+                raise ValueError("empty area label")
+            if start >= end:
+                raise ValueError(f"window start {start_s} must precede end {end_s}")
+        except ValueError as exc:
+            raise OdmParseError(source, line_no, str(exc)) from None
+        window = TimeWindow(date, start, end)
+        cells = windows.setdefault(window, {})
+        pair = (origin, destination)
+        if pair in cells:
+            raise OdmIntegrityError(
+                source,
+                line_no,
+                f"duplicate cell {pair} in window {window.date} {window.times_key()} "
+                f"(first seen at line {cells[pair][1]})",
+            )
+        cells[pair] = (count, line_no)
+    parsed = []
+    for window in sorted(windows):
+        cells = sorted((pair, count) for pair, (count, _) in windows[window].items() if count)
+        labels = tuple(sorted({label for pair, _ in cells for label in pair}))
+        parsed.append((window, labels, cells))
+    return parsed
 
 
 # -- reference report writers --------------------------------------------

@@ -89,6 +89,13 @@ def test_duplicate_cell_rejected_in_either_order(counts):
         SparseOdm(W, cells)
 
 
+@pytest.mark.parametrize("bad", [(("A", "C"), -1), (("", "C"), 1), None], ids=["count", "label", "item"])
+def test_duplicate_cell_before_a_bad_cell_wins(bad):
+    # The cells are checked in order, so a repeat read before a bad cell is the error.
+    with pytest.raises(ValueError, match=r"^duplicate cell \(A, B\)$"):
+        SparseOdm(W, [(("A", "B"), 1), (("A", "B"), 2), bad])
+
+
 def test_negative_count_rejected():
     with pytest.raises(ValueError):
         SparseOdm(W, {("A", "B"): -1})
