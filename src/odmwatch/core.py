@@ -142,7 +142,7 @@ class SparseOdm:
                 dests.append(ids.setdefault(destination, len(ids)))
                 counts.append(count)
         except (TypeError, ValueError):
-            _columns(list(ids), origins, dests, counts)  # a duplicate cell read before wins
+            check_unique(list(ids), origins, dests)  # a duplicate cell read before wins
             raise
         self._assign(window, *_columns(list(ids), origins, dests, counts))
 
@@ -204,24 +204,37 @@ def _columns(names: Sequence[AreaId], origins, dests, counts) -> tuple[list, arr
         rank[i] = r
     row_base = [r * len(used) for r in rank]
 
-    def coded():  # each row's code, in row order
-        return map(operator.add, map(row_base.__getitem__, origins), map(rank.__getitem__, dests))
-
-    codes, ordered_counts = array("q", coded()), counts
+    rows = map(operator.add, map(row_base.__getitem__, origins), map(rank.__getitem__, dests))
+    codes, ordered_counts = _int64s(rows), counts
     if not all(map(operator.lt, codes, islice(codes, 1, None))):  # out of order, or repeats
         keys = sorted(map(operator.or_, map(operator.lshift, codes, repeat(64)), counts))
-        codes = array("q", map(operator.rshift, keys, repeat(64)))
+        codes = _int64s(map(operator.rshift, keys, repeat(64)))
         if not all(map(operator.lt, codes, islice(codes, 1, None))):  # a cell repeats
-            first: dict[int, int] = {}
-            for row, code in enumerate(coded()):
-                earlier = first.setdefault(code, row)
-                if earlier != row:
-                    raise DuplicateCell((names[origins[row]], names[dests[row]]), row, earlier)
-        ordered_counts = array("q", map(operator.and_, keys, repeat(2**64 - 1)))
+            check_unique(names, origins, dests)
+        ordered_counts = _int64s(map(operator.and_, keys, repeat(2**64 - 1)))
     if 0 in counts:  # zero-count rows named their cells for the duplicate check only
         ids = (list(compress(column, counts)) for column in (origins, dests))
         return _columns(names, *ids, array("q", compress(counts, counts)))
     return [names[i] for i in used], codes, ordered_counts
+
+
+def check_unique(names: Sequence[AreaId], origins, dests) -> None:
+    """Raise :class:`DuplicateCell` for the first row whose cell, ``(names[origins[k]],
+    names[dests[k]])`` for row k, an earlier row holds: one dict pass, no sort."""
+    first: dict[int, int] = {}
+    cells = map(operator.add, map(operator.mul, origins, repeat(len(names))), dests)
+    for row, cell in enumerate(cells):
+        earlier = first.setdefault(cell, row)
+        if earlier != row:
+            raise DuplicateCell((names[origins[row]], names[dests[row]]), row, earlier)
+
+
+def _int64s(values: Iterator[int]) -> array:
+    """``array('q', values)``, filled 128 at a time: faster, and no list holds them all."""
+    out = array("q")
+    while chunk := list(islice(values, 128)):
+        out.fromlist(chunk)
+    return out
 
 
 def _int64_view(buffer) -> memoryview:

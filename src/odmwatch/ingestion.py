@@ -19,7 +19,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
-from .core import MAX_COUNT, DuplicateCell, SparseOdm, TimeWindow
+from .core import MAX_COUNT, DuplicateCell, SparseOdm, TimeWindow, check_unique
 
 CSV_COLUMNS = ("date", "start", "end", "origin", "destination", "count")
 # Rows per string that ``window_csv`` renders: the store hashes a date's CSV
@@ -175,18 +175,22 @@ def parse_rows(rows: Iterable[tuple[int, Sequence[str]]], source: str) -> list[S
             add_count(count)
             add_line(line_no)
     except (OdmParseError, csv.Error, EOFError, zlib.error):  # parse_file's reader errors too
-        _check_duplicates(source, by_window.values())  # a duplicate read before wins
+        _check_duplicates(source, by_window.values(), build=False)  # a duplicate read before wins
         raise
     return _check_duplicates(source, [by_window[window] for window in sorted(by_window)])
 
 
-def _check_duplicates(source: str, slots: Iterable[tuple]) -> list[SparseOdm]:
-    """Each slot's snapshot from ``SparseOdm.from_ids``; or raise
+def _check_duplicates(source: str, slots: Iterable[tuple], build: bool = True) -> list[SparseOdm]:
+    """Each slot's snapshot from ``SparseOdm.from_ids`` (with ``build`` false,
+    only its rows' ``check_unique``, which sorts nothing); or raise
     :class:`OdmIntegrityError` for the earliest repeated cell in file order."""
     snapshots, found = [], []
     for window, ids, origins, dests, counts, lines in slots:
         try:
-            snapshots.append(SparseOdm.from_ids(window, list(ids), origins, dests, counts))
+            if build:
+                snapshots.append(SparseOdm.from_ids(window, list(ids), origins, dests, counts))
+            else:
+                check_unique(list(ids), origins, dests)
         except DuplicateCell as dup:
             found.append((lines[dup.row], lines[dup.earlier], dup.pair, window))
     if found:

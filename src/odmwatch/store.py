@@ -2,13 +2,18 @@
 
 Layout: one file per stored date, ``<source>/<YYYY-MM-DD>.odm``. Line 1 is a
 UTF-8 JSON header (ASCII, padded with spaces so the arrays start 8-byte
-aligned) holding the ``format``, the ``date``, the ``windows`` in (start,
+aligned) holding the ``format`` (2), the ``date``, the ``windows`` in (start,
 end) order, each with its ``start`` and ``end`` (``HH:MM:SS``), sorted
-``labels`` and number of ``cells``, then ``sha256``, the hash of the array
-section, and ``csv_sha256``, the date's audit digest (SHA-256 of the date's
-windows written as one ingestion-format CSV). After the newline comes the
-array section: per window, its cells' little-endian int64 codes, then their
-counts. An all-zero window has no labels and no cells.
+``labels``, number of ``cells`` and the ``widths`` of its codes and counts,
+then ``sha256``, the hash of the array section, and ``csv_sha256``, the date's
+audit digest (SHA-256 of the date's windows written as one ingestion-format
+CSV). After the newline comes the array section: per window, its cells' codes,
+then their counts, each column in little-endian integers of its width (1, 2
+or 4 bytes unsigned, the fewest that hold the column's largest value, else 8
+bytes signed) and padded with zero bytes to a multiple of 8. An all-zero
+window has no labels and no cells. A format-1 file, whose columns are all
+int64 and whose windows have no ``widths``, reads as widths (8, 8); a put
+over its date rewrites it as format 2.
 
 Storing windows merges them over the date's stored windows and commits the
 whole date with one atomic rename (temp file, fsync, rename), so a reader
@@ -42,9 +47,11 @@ from typing import IO, Callable, Iterator, Sequence
 from .core import STRIDE_DAYS, SparseOdm, TimeWindow
 from .ingestion import SourceProfile, snapshots_csv
 
-FORMAT = 1
+FORMAT = 2
 _DATE_FILE = re.compile(r"^(\d{4}-\d{2}-\d{2})\.odm$")
-_INT64_SIZE = 8
+_ALIGN = 8
+# A column's width in bytes: the item format of its narrowing and its dtype.
+_WIDTHS = {1: ("B", "<u1"), 2: ("H", "<u2"), 4: ("I", "<u4"), 8: (None, "<i8")}
 
 
 def history_dates(date: dt.date, p: int, stride: str) -> list[dt.date]:
@@ -280,13 +287,14 @@ class HistoryStore:
 
 def _encode_day(date: dt.date, day: Sequence[SparseOdm]) -> list:
     """The pieces of a date file holding ``day``, in (start, end) order: the
-    header line, then each window's codes and counts as little-endian int64
-    buffers. The payload's SHA-256 is taken a buffer at a time, and no piece
-    is a copy of another, so the array section is never held twice."""
+    header line, then each window's codes and counts, each at its narrowest
+    width and padded to 8 bytes. The payload's SHA-256 is taken a buffer at
+    a time, so the array section is never held twice."""
     csv_sha256 = hashlib.sha256()
     for text in snapshots_csv(day):
         csv_sha256.update(text.encode())
-    arrays = [_little_endian(a) for m in day for a in (m.codes, m.counts)]
+    columns = [(_narrowest(m.codes, m.codes[-1:]), _narrowest(m.counts, m.counts)) for m in day]
+    arrays = [a for pair in columns for _, a in pair]
     payload_sha256 = hashlib.sha256()
     for a in arrays:
         payload_sha256.update(a)
@@ -300,16 +308,31 @@ def _encode_day(date: dt.date, day: Sequence[SparseOdm]) -> list:
                     "end": m.window.end.isoformat(),
                     "labels": list(m.labels),
                     "cells": len(m),
+                    "widths": [width for width, _ in pair],
                 }
-                for m in day
+                for m, pair in zip(day, columns)
             ],
             "sha256": payload_sha256.hexdigest(),
             "csv_sha256": csv_sha256.hexdigest(),
         },
         separators=(",", ":"),
     )
-    header += " " * (-(len(header) + 1) % _INT64_SIZE)
+    header += " " * (-(len(header) + 1) % _ALIGN)
     return [header.encode("ascii") + b"\n", *arrays]
+
+
+def _narrowest(int64s: memoryview, candidates) -> tuple:
+    """``(width, buffer)``: an int64 column whose largest value is the largest
+    of ``candidates`` (its last one, when sorted), as little-endian integers of
+    the fewest of 1, 2, 4 or 8 bytes that hold it, padded to 8 bytes."""
+    largest, width = max(candidates, default=0), 1
+    while largest >> 8 * width:
+        width *= 2
+    column = memoryview(_little_endian(int64s)).cast("B")
+    if width == 8:
+        return width, column
+    narrow = column.cast(_WIDTHS[width][0])[:: 8 // width].tobytes()
+    return width, narrow + bytes(-len(narrow) % _ALIGN)
 
 
 def _decode_day(
@@ -317,6 +340,7 @@ def _decode_day(
 ) -> tuple[str, list[TimeWindow], list[SparseOdm]]:
     """``(csv_sha256, windows, snapshots)`` of a date file's bytes: every
     stored window, and the checked snapshots of those ``decode`` accepts.
+    A format-1 file reads as widths (8, 8).
 
     Raises ``ValueError`` with the reason when a read check fails.
     """
@@ -326,7 +350,7 @@ def _decode_day(
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise ValueError(f"bad header: {exc}") from None
     try:
-        if header["format"] != FORMAT or header["date"] != date.isoformat():
+        if header["format"] not in (1, FORMAT) or header["date"] != date.isoformat():
             raise ValueError(f"format {header['format']!r}, date {header['date']!r}")
         digests = header["sha256"], header["csv_sha256"]
         if not all(isinstance(d, str) for d in digests):
@@ -335,34 +359,38 @@ def _decode_day(
         for entry in header["windows"]:
             window = TimeWindow(date, _time(entry["start"]), _time(entry["end"]))
             labels, cells = entry["labels"], entry["cells"]
+            widths = entry["widths"] if header["format"] == FORMAT else [8, 8]
             if type(cells) is not int or cells < 0 or not isinstance(labels, list):
                 raise ValueError(f"window {window.times_key()}: bad cells or labels")
+            if [type(w) for w in widths] != [int, int] or not {*widths} <= _WIDTHS.keys():
+                raise ValueError(f"window {window.times_key()}: bad widths {widths!r}")
             if entries and entries[-1][0] >= window:
                 raise ValueError("windows not in strictly increasing (start, end) order")
-            entries.append((window, labels, cells))
+            entries.append((window, labels, cells, widths))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad header shape: {type(exc).__name__} {exc}") from None
-    size = 2 * _INT64_SIZE * sum(cells for _, _, cells in entries)
     payload = memoryview(data)[newline + 1 :]
+    columns, size = [], 0  # each window's codes and counts: (bytes, width)
+    for _, _, cells, widths in entries:
+        for width in widths:
+            columns.append((payload[size : size + cells * width], width))
+            size += -(-cells * width // _ALIGN) * _ALIGN
     if len(payload) != size:
         raise ValueError(f"array section has {len(payload)} bytes, the header's cells need {size}")
     if hashlib.sha256(payload).hexdigest() != digests[0]:
         raise ValueError("array section does not match its sha256")
-    arrays = memoryview(_little_endian(payload)).cast("q")
-    snapshots = []
-    start = 0
-    for window, labels, cells in entries:
-        if decode(window):
-            codes = arrays[start : start + cells]
-            counts = arrays[start + cells : start + 2 * cells]
-            snapshots.append(_checked_snapshot(window, labels, codes, counts))
-        start += 2 * cells
-    return digests[1], [window for window, _, _ in entries], snapshots
+    snapshots = [
+        _checked_snapshot(window, labels, *columns[2 * k : 2 * k + 2])
+        for k, (window, labels, _, _) in enumerate(entries)
+        if decode(window)
+    ]
+    return digests[1], [window for window, _, _, _ in entries], snapshots
 
 
-def _checked_snapshot(window: TimeWindow, labels: list, codes, counts) -> SparseOdm:
-    """One window's snapshot, after checking its labels and columns; its
-    labels are interned, to share one str across the p+1 dates detect holds."""
+def _checked_snapshot(window: TimeWindow, labels: list, *columns: tuple) -> SparseOdm:
+    """One window's snapshot from its stored ``(bytes, width)`` codes and counts,
+    widened to int64 (width 8 without a copy), after checking its labels and
+    columns; its labels are interned, to share one str across the p+1 dates."""
     import numpy as np
 
     n = len(labels)
@@ -375,16 +403,19 @@ def _checked_snapshot(window: TimeWindow, labels: list, codes, counts) -> Sparse
         raise ValueError(
             f"window {window.times_key()}: labels not sorted, unique and non-empty strings"
         )
+    codes, counts = (
+        np.frombuffer(raw, _WIDTHS[width][1]).astype(np.int64, copy=False)
+        for raw, width in columns
+    )
     used = np.zeros(n, dtype=bool)
     if len(codes):
-        cells, values = np.frombuffer(codes, np.int64), np.frombuffer(counts, np.int64)
-        if cells[0] < 0 or int(cells[-1]) >= n * n or (np.diff(cells) <= 0).any():
+        if codes[0] < 0 or int(codes[-1]) >= n * n or (np.diff(codes) <= 0).any():
             raise ValueError(
                 f"window {window.times_key()}: codes not strictly increasing in [0, {n}**2)"
             )
-        if values.min() <= 0:
+        if counts.min() <= 0:
             raise ValueError(f"window {window.times_key()}: a count <= 0")
-        used[cells // n] = used[cells % n] = True
+        used[codes // n] = used[codes % n] = True
     if not used.all():
         raise ValueError(f"window {window.times_key()}: a label no cell uses")
     return SparseOdm.from_columns(window, map(sys.intern, labels), codes, counts)
@@ -428,7 +459,7 @@ def atomic_open(path: Path, mode: str = "w", **kwargs) -> Iterator[IO]:
 
 
 def _little_endian(int64s):
-    """Native int64 bytes as the file's little-endian ones, or back: ``int64s``
+    """Native int64 values as little-endian ones, for the file: ``int64s``
     itself on a little-endian machine, else a byte-swapped copy."""
     if sys.byteorder == "little":
         return int64s

@@ -9,6 +9,7 @@ a lower signal. At th=10 the small series are below eligibility.
 """
 
 import datetime as dt
+import shutil
 from pathlib import Path
 
 import pytest
@@ -75,6 +76,19 @@ def test_store_file_bytes(store_root):
     assert names == sorted(path.name for path in golden.iterdir())
     for name in names:
         assert (store_root / "src" / name).read_bytes() == (golden / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_format1_store_gives_the_golden_reports(tmp_path, config):
+    """The fixture's date files as format 1 wrote them (int64 columns, no
+    widths) read as their format-2 rewrite does."""
+    root = tmp_path / "store"
+    shutil.copytree(GOLDEN / "store_format1", root)
+    for fmt, names in (("jsonl", [".jsonl"]), ("csv", [".csv", ".csv.meta.json"])):
+        detect(root, tmp_path / f"report.{fmt}", fmt, config)
+        for name in names:
+            golden = GOLDEN / f"report_{config}{name}"
+            assert (tmp_path / f"report{name}").read_bytes() == golden.read_bytes(), name
 
 
 def test_golden_reports_hold_the_edge_rows():

@@ -2,10 +2,13 @@ import datetime as dt
 import hashlib
 import io
 import json
+import math
 import os
 import re
+import shutil
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +27,8 @@ from odmwatch.store import StoreError, history_dates, retention_for
 MONDAY = dt.date(2021, 6, 7)
 TUESDAY = MONDAY + dt.timedelta(days=1)
 HEADER = b"date,start,end,origin,destination,count\n"
+# The report golden test's store as format 1 wrote it: int64 columns, no widths.
+FORMAT1 = Path(__file__).parent / "golden" / "store_format1" / "src"
 
 
 @pytest.fixture
@@ -292,18 +297,20 @@ def test_windows_for_parses_no_file(store, monkeypatch):
         assert store.fetch_history("src", tuesday_noon, 1, "daily") == [noon]
 
 
-def read_date_file(path):
-    """(header, codes and counts of each window) of a date file, decoded by hand."""
-    data = path.read_bytes()
+def read_date_file(data):
+    """(header, codes and counts of each window, offset of the arrays) of a date
+    file's bytes, decoded by hand: each column in little-endian integers of its
+    width (unsigned, or signed at 8 bytes; 8 and 8 in format 1), padded to 8 bytes."""
     newline = data.index(b"\n")
     header = json.loads(data[:newline].decode("utf-8"))
-    arrays = np.frombuffer(data, dtype="<i8", offset=newline + 1)
-    columns, start = [], 0
+    columns, start = [], newline + 1
     for window in header["windows"]:
-        n = window["cells"]
-        codes, counts = arrays[start : start + n], arrays[start + n : start + 2 * n]
-        columns.append((codes.tolist(), counts.tolist()))
-        start += 2 * n
+        pair = []
+        for width in window.get("widths", [8, 8]):
+            dtype = "<i8" if width == 8 else f"<u{width}"
+            pair.append(np.frombuffer(data, dtype, window["cells"], start).tolist())
+            start += -(-window["cells"] * width // 8) * 8
+        columns.append(tuple(pair))
     return header, columns, newline + 1
 
 
@@ -315,14 +322,20 @@ def test_window_file_layout(store):
     store.put_snapshot("src", zero, m)
     directory = store.root / "src"
     assert sorted(p.name for p in directory.iterdir()) == [f"{MONDAY}.odm"]
-    header, columns, offset = read_date_file(directory / f"{MONDAY}.odm")
     data = (directory / f"{MONDAY}.odm").read_bytes()
+    header, columns, offset = read_date_file(data)
     assert header == {
-        "format": 1,
+        "format": 2,
         "date": MONDAY.isoformat(),
         "windows": [
-            {"start": "08:00:00", "end": "15:59:59", "labels": ["A", "B", "C"], "cells": 3},
-            {"start": "16:00:00", "end": "23:59:59", "labels": [], "cells": 0},
+            {
+                "start": "08:00:00",
+                "end": "15:59:59",
+                "labels": ["A", "B", "C"],
+                "cells": 3,
+                "widths": [1, 1],
+            },
+            {"start": "16:00:00", "end": "23:59:59", "labels": [], "cells": 0, "widths": [1, 1]},
         ],
         "sha256": hashlib.sha256(data[offset:]).hexdigest(),
         "csv_sha256": day_digest_by_definition([m, zero]),
@@ -330,6 +343,55 @@ def test_window_file_layout(store):
     # A-B, B-A, C-A with A, B, C ranked 0, 1, 2 out of 3.
     assert columns == [([1, 3, 6], [1, 2, 3]), ([], [])]
     assert offset % 8 == 0 and data[:offset].isascii()
+    # Each one-byte column of three cells is padded to 8 bytes.
+    assert data[offset:] == bytes([1, 3, 6, 0, 0, 0, 0, 0, 1, 2, 3, 0, 0, 0, 0, 0])
+
+
+# Each width's largest value and the next. A window's codes stay below
+# len(labels)**2, so its largest code reaches 2**32 (65,537 labels), not 2**63-1.
+CODE_EDGES = [0, 255, 256, 65535, 65536, 2**32 - 1, 2**32]
+COUNT_EDGES = [1, 255, 256, 65535, 65536, 2**32 - 1, 2**32, 2**63 - 1]
+
+
+def edge_window(window, largest_code, largest_count):
+    """A valid window whose largest code and count are the given ones: the
+    cells (label 0, label j) for every label j, then the largest code's cell."""
+    n = math.isqrt(largest_code) + 1
+    codes = array("q", range(n))
+    if largest_code >= n:
+        codes.append(largest_code)
+    counts = array("q", [1] * (len(codes) - 1) + [largest_count])
+    return SparseOdm.from_columns(window, [f"{i:06d}" for i in range(n)], codes, counts)
+
+
+def minimal_width(largest):
+    return min(width for width in (1, 2, 4, 8) if largest < 256**width)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.none() | st.tuples(st.sampled_from(CODE_EDGES), st.sampled_from(COUNT_EDGES)),
+        min_size=1,
+        max_size=3,
+    )
+)
+@example([(2**32, 2**63 - 1), None, (255, 65536)])
+def test_columns_are_stored_at_their_minimal_widths(tmp_path_factory, edges):
+    windows = canonical_windows(MONDAY, len(edges))
+    day = [
+        SparseOdm(w, {}) if edge is None else edge_window(w, *edge)
+        for w, edge in zip(windows, edges)
+    ]
+    store = HistoryStore(tmp_path_factory.mktemp("store"))
+    store.put_snapshot("src", *reversed(day))
+    header, columns, _ = read_date_file((store.root / "src" / f"{MONDAY}.odm").read_bytes())
+    assert [w["widths"] for w in header["windows"]] == [
+        [minimal_width(max(m.codes, default=0)), minimal_width(max(m.counts, default=0))]
+        for m in day
+    ]
+    assert columns == [(m.codes.tolist(), m.counts.tolist()) for m in day]
+    assert [store.get_snapshot("src", w) for w in windows] == day
 
 
 def test_day_digest_hashes_the_day_as_one_csv(store):
@@ -384,19 +446,16 @@ def test_day_digest_matches_its_definition_after_reingests(tmp_path, seed):
 
 def rewritten(edit_header=lambda header: None, codes=None, counts=None):
     """A corruption that edits the decoded header or arrays of a one-window
-    date file and re-signs the arrays, so a check after the hash must fire."""
+    date file and re-signs the arrays, written at widths (8, 8), so a check
+    after the hash must fire."""
 
     def corrupt(data):
-        newline = data.index(b"\n")
-        header = json.loads(data[:newline])
-        arrays = np.frombuffer(data, dtype="<i8", offset=newline + 1).copy()
-        n = header["windows"][0]["cells"]
-        if codes is not None:
-            arrays[:n] = codes
-        if counts is not None:
-            arrays[n:] = counts
+        header, ((old_codes, old_counts),), _ = read_date_file(data)
+        header["windows"][0]["widths"] = [8, 8]
         edit_header(header)
-        payload = arrays.astype("<i8").tobytes()
+        new_codes = old_codes if codes is None else codes
+        new_counts = old_counts if counts is None else counts
+        payload = np.array(new_codes + new_counts, dtype="<i8").tobytes()
         header["sha256"] = hashlib.sha256(payload).hexdigest()
         return json.dumps(header).encode("utf-8") + b"\n" + payload
 
@@ -414,7 +473,7 @@ def edit_window(**fields):
         (lambda data: b"{" + data[data.index(b"\n") :], "bad header", True),
         (lambda data: b"\xff" + data, "utf-8", True),
         (rewritten(lambda header: header.pop("windows")), "bad header shape", True),
-        (rewritten(lambda header: header.update(format=2)), "bad header shape", True),
+        (rewritten(lambda header: header.update(format=3)), "bad header shape", True),
         (rewritten(lambda header: header.update(date="2021-06-08")), "'2021-06-08'", True),
         (edit_window(start="00:00"), "bad time '00:00'", True),
         (
@@ -424,6 +483,9 @@ def edit_window(**fields):
         ),
         (lambda data: data.replace(b'"sha256":', b'"sha256":7,"was":', 1), "not strings", True),
         (edit_window(cells=-2), "bad cells or labels", True),
+        (edit_window(widths=[3, 1]), "bad widths [3, 1]", True),
+        (edit_window(widths=[1, 16]), "bad widths [1, 16]", True),
+        (rewritten(lambda header: header["windows"][0].pop("widths")), "KeyError 'widths'", True),
         (edit_window(labels=["B", "A"]), "labels not sorted, unique and non-empty", False),
         (edit_window(labels=["A", "A"]), "labels not sorted, unique and non-empty", False),
         (edit_window(labels=["", "B"]), "labels not sorted, unique and non-empty", False),
@@ -454,6 +516,9 @@ def edit_window(**fields):
         "duplicate-window",
         "digest-not-a-string",
         "negative-cells",
+        "width-3",
+        "width-16",
+        "widths-missing",
         "unsorted-labels",
         "duplicate-labels",
         "empty-label",
@@ -643,24 +708,61 @@ store.put_snapshot("src", SparseOdm(window, {("A", "B"): 99, ("C", "D"): 1}))
 """
 
 
-def test_crash_before_rename_keeps_the_old_window(store):
-    old = snap(MONDAY, {("A", "B"): 10})
-    store.put_snapshot("src", old)
-    before = (store.windows_for("src", MONDAY), store.day_digest("src", MONDAY))
+def crash_before_rename(root, date):
+    """Run a put of one full-day window of ``date`` that dies before its
+    rename, and check that it died there, leaving its temp file."""
     src_root = Path(odmwatch.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src_root)}
     child = subprocess.run(
-        [sys.executable, "-c", CRASH_BEFORE_RENAME, str(store.root), MONDAY.isoformat()],
+        [sys.executable, "-c", CRASH_BEFORE_RENAME, str(root), date.isoformat()],
         env=env,
         capture_output=True,
         timeout=60,
     )
     assert child.returncode == 17, child.stderr.decode()
-    leftovers = [p.name for p in (store.root / "src").iterdir() if p.name.startswith(".")]
+    leftovers = [p.name for p in (root / "src").iterdir() if p.name.startswith(".")]
     assert len(leftovers) == 1 and leftovers[0].endswith(".tmp")
+
+
+def test_crash_before_rename_keeps_the_old_window(store, tmp_path):
+    old = snap(MONDAY, {("A", "B"): 10})
+    store.put_snapshot("src", old)
+    before = (store.windows_for("src", MONDAY), store.day_digest("src", MONDAY))
+    crash_before_rename(store.root, MONDAY)
     assert store.get_snapshot("src", old.window) == old
     assert (store.windows_for("src", MONDAY), store.day_digest("src", MONDAY)) == before
     assert store.dates_for("src") == [MONDAY]
+    # A put that would rewrite a format-1 date as format 2 leaves it as it was.
+    fixture = FORMAT1 / f"{MONDAY}.odm"
+    format1 = HistoryStore(tmp_path / "format1")
+    (format1.root / "src").mkdir()
+    shutil.copy(fixture, format1.root / "src")
+    crash_before_rename(format1.root, MONDAY)
+    assert (format1.root / "src" / fixture.name).read_bytes() == fixture.read_bytes()
+    everything = lambda window: True
+    golden = HistoryStore(FORMAT1.parents[1] / "store")
+    assert format1.read_day("src", MONDAY, everything) == golden.read_day("src", MONDAY, everything)
+
+
+def test_a_put_over_a_format1_date_rewrites_it_as_format_2(tmp_path):
+    store = HistoryStore(tmp_path / "store")
+    shutil.copytree(FORMAT1, store.root / "src")
+    date, everything = dt.date(2021, 6, 21), lambda window: True
+    _, (morning, evening), (kept, _) = store.read_day("src", date, everything)
+    assert read_date_file((FORMAT1 / f"{date}.odm").read_bytes())[0]["format"] == 1
+    new = SparseOdm(evening, {("B", "A"): 70_000})
+    assert store.put_snapshot("src", new) == [kept, new]
+    header = read_date_file((store.root / "src" / f"{date}.odm").read_bytes())[0]
+    assert header["format"] == 2
+    assert [w["widths"] for w in header["windows"]] == [[1, 1], [1, 4]]
+    assert store.read_day("src", date, everything) == (
+        day_digest_by_definition([kept, new]),
+        [morning, evening],
+        [kept, new],
+    )
+    for other in FORMAT1.iterdir():  # the put rewrote its date only
+        if other.name != f"{date}.odm":
+            assert (store.root / "src" / other.name).read_bytes() == other.read_bytes()
 
 
 CRASH_MID_REINGEST = """
